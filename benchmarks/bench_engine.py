@@ -160,23 +160,31 @@ def run_micro(name: str, seed_fn, new_fn, size: int, repeats: int) -> Dict:
     }
 
 
+def count_src_loc(root: str = _SRC) -> int:
+    """Lines in ``src/repro/**/*.py`` — the design aim's trajectory
+    (recorded, never gated: fewer lines for the same behaviour is the
+    goal, but a line count is no regression signal on its own)."""
+    total = 0
+    for dirpath, _, files in os.walk(os.path.join(root, "repro")):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(dirpath, name), "rb") as fh:
+                    total += sum(1 for _ in fh)
+    return total
+
+
 # ----------------------------------------------------------------------
 # full-stack application workloads (current engine only)
 # ----------------------------------------------------------------------
 def run_fib_app(n: int, num_nodes: int, *, trace: bool = False,
-                backend: str = "sim", transport: str = "pipe") -> Dict:
-    """fib(n) with dynamic load balancing — the §7.2 workload shape.
-
-    ``transport`` selects the mp backend's interconnect ("pipe" or
-    "socket"); other backends ignore it.
-    """
+                backend: str = "sim") -> Dict:
+    """fib(n) with dynamic load balancing — the §7.2 workload shape."""
     from repro.apps.fibonacci import fib_program, fib_value
-    from repro.config import LoadBalanceParams, MpParams, RuntimeConfig
+    from repro.config import LoadBalanceParams, RuntimeConfig
     from repro.runtime.system import HalRuntime
 
     cfg = RuntimeConfig(num_nodes=num_nodes, seed=1995, backend=backend,
-                        load_balance=LoadBalanceParams(enabled=True),
-                        mp=MpParams(transport=transport))
+                        load_balance=LoadBalanceParams(enabled=True))
     t0 = time.perf_counter()
     rt = HalRuntime(cfg, trace=trace)
     try:
@@ -522,6 +530,7 @@ def run_bench(*, quick: bool = False, repeats: int = 3,
         "created_unix": int(time.time()),
         "python": sys.version.split()[0],
         "quick": quick,
+        "src_loc": count_src_loc(),
         "pingpong": run_micro("pingpong", seed_pingpong, new_pingpong,
                               pp_rounds, repeats),
         "fanout": run_micro("fanout", seed_fanout, new_fanout,
@@ -549,32 +558,17 @@ def run_bench(*, quick: bool = False, repeats: int = 3,
         )
         # Process-per-node backend on the same workload: the only case
         # where node execution escapes the GIL.  Batched binary frames
-        # over the default pipe mesh, and the same wire path over the
-        # UNIX-domain socket mesh.  Both ARE regression-gated now that
-        # the batched path landed (generous threshold absorbs host
-        # scheduling noise; see GATED in check_regression.py).
+        # over the UNIX-domain socketpair mesh; regression-gated
+        # (generous threshold absorbs host scheduling noise; see GATED
+        # in check_regression.py).
         results["backend_mp"] = run_fib_app(
             fib_n, num_nodes=4, backend="mp"
         )
-        results["backend_mp_socket"] = run_fib_app(
-            fib_n, num_nodes=4, backend="mp", transport="socket"
-        )
-        # Shared-memory rings: the kernel-copy-free path.  Its win over
-        # the socket mesh needs cores actually running in parallel —
-        # on a single-CPU host everything is time-sliced and the
-        # socket mesh's kernel-mediated wakeups edge it out, so the
-        # committed baseline only gates shm against itself (see
-        # check_regression.py); the multi-core crossover is unavailable
-        # on the recording host.
-        results["backend_mp_shm"] = run_fib_app(
-            fib_n, num_nodes=4, backend="mp", transport="shm"
-        )
-        # Socket-cluster backend: the same frames over a real TCP
-        # mesh with the reliable-AM sublayer always attached, so this
-        # row prices envelope/ack traffic plus loopback TCP on top of
-        # the mp wire path.  Ungated on first landing — recorded for
-        # trend visibility until a few nightlies establish its noise
-        # band (see check_regression.py).
+        # Socket-cluster backend: the same worker loop and frames over
+        # a loopback TCP listener mesh, so this row prices TCP plus
+        # address-based bring-up on top of the mp wire path.  Ungated
+        # until a few nightlies establish its noise band (see
+        # check_regression.py).
         results["backend_asyncio"] = run_fib_app(
             fib_n, num_nodes=4, backend="asyncio"
         )
@@ -584,6 +578,8 @@ def run_bench(*, quick: bool = False, repeats: int = 3,
 def render(results: Dict) -> str:
     lines = ["engine throughput (host events/sec)",
              "===================================="]
+    if "src_loc" in results:
+        lines.append(f"src_loc    {results['src_loc']:,} lines in src/repro")
     for name in ("pingpong", "fanout"):
         r = results[name]
         lines.append(
@@ -626,23 +622,9 @@ def render(results: Dict) -> str:
     bm = results.get("backend_mp")
     if bm:
         lines.append(
-            f"mp/pipe    n={bm['n']:<4} nodes={bm['nodes']:<3} "
+            f"mp         n={bm['n']:<4} nodes={bm['nodes']:<3} "
             f"events={bm['sim_events']:>9,}  "
             f"host={bm['events_per_sec']:>11,} ev/s"
-        )
-    bs = results.get("backend_mp_socket")
-    if bs:
-        lines.append(
-            f"mp/socket  n={bs['n']:<4} nodes={bs['nodes']:<3} "
-            f"events={bs['sim_events']:>9,}  "
-            f"host={bs['events_per_sec']:>11,} ev/s"
-        )
-    bh = results.get("backend_mp_shm")
-    if bh:
-        lines.append(
-            f"mp/shm     n={bh['n']:<4} nodes={bh['nodes']:<3} "
-            f"events={bh['sim_events']:>9,}  "
-            f"host={bh['events_per_sec']:>11,} ev/s"
         )
     ba = results.get("backend_asyncio")
     if ba:

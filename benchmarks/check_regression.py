@@ -38,16 +38,14 @@ DEFAULT_BASELINE = os.path.join(_REPO_ROOT, "BENCH_engine.json")
 #: pessimisation in the real-time backends — per-packet pickling or
 #: syscalls creeping back into the mp batch path would halve its
 #: events/sec, far outside the threshold's noise allowance; the
-#: shm-ring run additionally catches pessimisation in the ring copy
-#: loop and the spin/Condition wakeup protocol; the sampled-tracing
-#: traffic run catches the span hot path regrowing.
+#: sampled-tracing traffic run catches the span hot path regrowing.
 #:
 #: ``backend_asyncio`` is recorded in the baseline but deliberately
-#: NOT gated yet: the row just landed, and its wall-clock depends on
-#: loopback TCP scheduling plus always-on reliable-AM ack round trips
-#: — gate it once a few nightlies establish the noise band.
+#: NOT gated yet: its wall-clock depends on loopback TCP scheduling
+#: and mesh bring-up — gate it once a few nightlies establish the
+#: noise band.  ``src_loc`` is recorded, never gated.
 GATED = ("pingpong", "fanout", "backend_threaded", "backend_mp",
-         "backend_mp_shm", "tracing")
+         "tracing")
 
 #: Absolute ceiling on ``tracing.overhead_pct``: the throughput cost of
 #: always-on (head-sampled) tracing over the untraced baseline.  Unlike

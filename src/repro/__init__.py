@@ -37,7 +37,12 @@ from repro.config import (
     SchedulerParams,
 )
 from repro.config import ReliabilityParams
-from repro.errors import InvariantViolation, ReliabilityError, ReproError
+from repro.errors import (
+    InvariantViolation,
+    NodeFailure,
+    ReliabilityError,
+    ReproError,
+)
 from repro.platform import BACKENDS, make_machine
 from repro.runtime.costmodel import CostModel
 from repro.runtime.groups import GroupRef
@@ -66,6 +71,7 @@ __all__ = [
     "GroupRef",
     "ReproError",
     "ReliabilityError",
+    "NodeFailure",
     "InvariantViolation",
     "FaultPlan",
     "FaultRule",

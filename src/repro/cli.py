@@ -155,11 +155,7 @@ def _mp_params(args):
     transport = getattr(args, "mp_transport", None)
     batch_bytes = getattr(args, "mp_batch_bytes", None)
     batch_msgs = getattr(args, "mp_batch_msgs", None)
-    ring_bytes = getattr(args, "mp_ring_bytes", None)
-    if (
-        transport is None and batch_bytes is None
-        and batch_msgs is None and ring_bytes is None
-    ):
+    if transport is None and batch_bytes is None and batch_msgs is None:
         return None
     from repro.config import MpParams
     defaults = MpParams()
@@ -167,7 +163,6 @@ def _mp_params(args):
         transport=transport or defaults.transport,
         batch_bytes=batch_bytes or defaults.batch_bytes,
         batch_max_msgs=batch_msgs or defaults.batch_max_msgs,
-        ring_bytes=ring_bytes or defaults.ring_bytes,
     )
 
 
@@ -421,21 +416,17 @@ def main(argv: Optional[List[str]] = None) -> int:
              "summary (ping_pong, migration_tour, fibonacci_loadbalance)",
     )
     def add_mp_flags(p):
-        p.add_argument("--mp-transport", choices=("pipe", "socket", "shm"),
+        p.add_argument("--mp-transport", choices=("socket", "pipe"),
                        default=None,
-                       help="mp interconnect: full-mesh duplex pipes "
-                            "(default), UNIX-domain socketpairs, or "
-                            "shared-memory SPSC rings (no kernel copy)")
+                       help="mp interconnect: full-mesh UNIX-domain "
+                            "socketpairs, the only one ('pipe' is a "
+                            "deprecated alias of 'socket')")
         p.add_argument("--mp-batch-bytes", type=int, default=None,
                        help="mp: flush a destination's frame at this many "
                             "buffered bytes (default 32768)")
         p.add_argument("--mp-batch-msgs", type=int, default=None,
                        help="mp: ... or at this many buffered messages "
                             "(default 128)")
-        p.add_argument("--mp-ring-bytes", type=int, default=None,
-                       help="mp shm: data capacity of each per-edge ring "
-                            "in bytes (default 262144; larger frames "
-                            "cross in chunks)")
 
     def add_net_flags(p):
         p.add_argument("--net-transport", choices=("tcp", "unix"),
@@ -456,9 +447,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="sim: deterministic discrete-event simulator; "
                         "threaded: real-time, one OS thread per node; "
                         "mp: one OS process per node, batched binary "
-                        "frames, token-ring quiescence; asyncio: one "
-                        "process per node over a TCP/UNIX socket mesh "
-                        "with the reliable-AM sublayer always on")
+                        "frames, token-ring quiescence; asyncio: the same "
+                        "worker processes over a TCP/UNIX listener mesh "
+                        "meshed by address at bring-up")
     add_mp_flags(p)
     add_net_flags(p)
     p.add_argument("--nodes", type=int, default=None, help="partition size")

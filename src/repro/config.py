@@ -7,6 +7,7 @@ active-message layer.  All times are **simulated microseconds**.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Literal, Optional
 
@@ -100,49 +101,44 @@ class LoadBalanceParams:
 
 @dataclass(frozen=True)
 class MpParams:
-    """Wire-path knobs for the process-per-node (mp) backend.
+    """Wire-path knobs for the mp backend (the asyncio backend's worker
+    loop, which is the same, reads the batch thresholds too).
 
     Outbound packets are coalesced per destination into binary frames
     (see :mod:`repro.platform.wireformat`): a destination's batch is
     flushed when it reaches ``batch_bytes`` or ``batch_max_msgs``, and
     unconditionally at the end of every worker wakeup (so a message
-    never waits on an idle node for company).  ``transport`` selects
-    the interconnect: ``"pipe"`` is a full mesh of multiprocessing
-    duplex pipes carrying whole frames; ``"socket"`` is a full mesh of
-    UNIX-domain stream socketpairs driven with raw scatter writes and
-    bulk reads — one ``recv`` can pull in many frames, so the syscall
-    count per message drops further on chatty workloads; ``"shm"``
-    skips the kernel entirely — per-directed-edge single-producer/
-    single-consumer ring buffers in one ``multiprocessing.shared_memory``
-    arena (:mod:`repro.platform.shmring`), ``ring_bytes`` of data ring
-    per edge, with spin-then-``Condition`` blocking on empty/full.
+    never waits on an idle node for company).  The interconnect is a
+    full mesh of UNIX-domain stream sockets driven with ``sendall``
+    writes and bulk reads — one ``recv`` can pull in many frames.
+    ``transport`` has that one value, ``"socket"``; ``"pipe"`` is still
+    accepted for one release as a deprecated alias of it.
     """
 
     #: Interconnect between worker processes.
-    transport: Literal["pipe", "socket", "shm"] = "pipe"
+    transport: Literal["socket"] = "socket"
     #: Flush a destination's batch at this many buffered frame bytes.
     batch_bytes: int = 32 * 1024
     #: ... or at this many buffered messages, whichever comes first.
     batch_max_msgs: int = 128
-    #: Data capacity of each shm ring (``transport="shm"`` only).
-    #: Frames larger than this still cross — in chunks — but a ring
-    #: comfortably above ``batch_bytes`` keeps writers out of the
-    #: backpressure path.  Tiny values are legal (tests use them to
-    #: force wraparound and full-ring behaviour).
-    ring_bytes: int = 256 * 1024
 
     def __post_init__(self) -> None:
-        if self.transport not in ("pipe", "socket", "shm"):
+        if self.transport == "pipe":
+            warnings.warn(
+                "MpParams(transport='pipe') is deprecated and means "
+                "'socket', the mp backend's only transport",
+                DeprecationWarning,
+                stacklevel=3,
+            )
+            object.__setattr__(self, "transport", "socket")
+        if self.transport != "socket":
             raise ValueError(
-                f"unknown mp transport {self.transport!r}; "
-                "expected 'pipe', 'socket' or 'shm'"
+                f"unknown mp transport {self.transport!r}; expected 'socket'"
             )
         if self.batch_bytes < 1:
             raise ValueError("batch_bytes must be >= 1")
         if self.batch_max_msgs < 1:
             raise ValueError("batch_max_msgs must be >= 1")
-        if self.ring_bytes < 1:
-            raise ValueError("ring_bytes must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -160,9 +156,9 @@ class NetParams:
     and each worker dials its lower-numbered peers (redialling for up
     to ``connect_timeout_s`` while listeners come up).  Frames on the
     wire are the same :mod:`repro.platform.wireformat` batches the mp
-    backend ships; the reliable-AM sublayer is always attached on
-    this backend, so drops/delays/reordering are repaired end-to-end
-    rather than assumed away.
+    backend ships, served by the same worker loop.  A connected stream
+    loses nothing, so, as on mp, the reliable-AM sublayer attaches only
+    when a fault plan is installed.
     """
 
     #: Socket family: real TCP or single-host UNIX-domain sockets.
@@ -277,11 +273,11 @@ class RuntimeConfig:
     #: simulator (fault injection, timing tables); ``threaded`` runs
     #: each node on an OS thread in real time (convergence semantics,
     #: no determinism); ``mp`` runs each node in its own OS process
-    #: (pickled wire packets, token-ring quiescence, no GIL sharing);
-    #: ``asyncio`` runs each node in its own process behind a real
-    #: TCP/UNIX socket mesh with the reliable-AM sublayer always on
-    #: (cluster semantics: loss is repaired, not assumed away).
-    #: See :mod:`repro.platform`.
+    #: (batched wire frames over a socketpair mesh, token-ring
+    #: quiescence, no GIL sharing); ``asyncio`` runs the same worker
+    #: processes over a TCP/UNIX listener mesh meshed by address at
+    #: bring-up (the name is historical: no asyncio loop runs).  See
+    #: :mod:`repro.platform`.
     backend: Literal["sim", "threaded", "mp", "asyncio"] = "sim"
     #: Interconnect topology: CM-5 fat-tree or binary hypercube.
     topology: Literal["fattree", "hypercube"] = "fattree"

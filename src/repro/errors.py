@@ -7,6 +7,8 @@ errors in their own code.
 
 from __future__ import annotations
 
+import signal
+
 
 class ReproError(Exception):
     """Base class for all errors raised by :mod:`repro`."""
@@ -26,6 +28,35 @@ class TopologyError(ReproError):
 
 class NetworkError(ReproError):
     """The interconnect model rejected a transmission."""
+
+
+class NodeFailure(ReproError):
+    """A worker process of a distributed backend died.
+
+    ``node`` is the dead worker's node id and ``exitcode`` its exit
+    status as :attr:`multiprocessing.Process.exitcode` reports it: a
+    negative value ``-N`` means the process was killed by signal ``N``
+    (the message names the signal), ``None`` that it had not been
+    reaped yet.
+    """
+
+    def __init__(
+        self, node: int, exitcode: "int | None", *, detail: str = ""
+    ) -> None:
+        if exitcode is None:
+            how = "lost its control pipe"
+        elif exitcode < 0:
+            try:
+                sig = signal.Signals(-exitcode).name
+            except ValueError:
+                sig = f"signal {-exitcode}"
+            how = f"was killed by {sig}"
+        else:
+            how = f"exited with code {exitcode}"
+        message = f"worker process for node {node} {how}"
+        super().__init__(f"{message}: {detail}" if detail else message)
+        self.node = node
+        self.exitcode = exitcode
 
 
 class HandlerError(ReproError):

@@ -13,19 +13,19 @@ a backend by name (usually from ``RuntimeConfig.backend``):
 
 ``mp``
     Distributed: one OS *process* per node, batched binary frames
-    over pipes, sockets or shared-memory rings, token-ring quiescence
-    detection.  The only backend where the GIL does not serialise
+    over a full mesh of UNIX-domain socketpairs, one worker loop,
+    token-ring quiescence detection.  The only backend where the GIL does not serialise
     node execution; no determinism (fault injection *is* supported,
     with per-(seed, node) deterministic draw streams), and
     non-picklable payloads are hard errors.
 
 ``asyncio``
-    Cluster: one OS process per node behind a real TCP (or UNIX)
-    socket mesh driven by an asyncio event loop — the mp backend's
-    frames, Safra ring and fault plans, but over sockets that could
-    span hosts, with the reliable-AM sublayer always attached and
-    cluster-wide ``(birthplace, descriptor)`` name resolution with
-    FIR-style back-patching on the driver.
+    Cluster: the mp backend's worker processes and worker loop, meshed
+    at bring-up by address over TCP (or UNIX) listener sockets that
+    could span hosts, with cluster-wide ``(birthplace, descriptor)``
+    name resolution and FIR-style back-patching on the driver.  The
+    name is historical; no asyncio event loop runs.  As everywhere,
+    the reliable-AM sublayer attaches only under a fault plan.
 
 Backend modules are imported lazily so constructing a sim machine
 never pays for ``threading`` machinery and vice versa, and so the

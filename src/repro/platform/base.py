@@ -51,10 +51,10 @@ capability                sim          threaded      mp    asyncio
 A *distributed* machine runs each node in its own OS process: nothing
 is shared, every message crosses an operating-system boundary as a
 :class:`WirePacket` — batched per destination into compact binary
-frames (:mod:`repro.platform.wireformat`) over a pipe mesh, a
-UNIX-domain socket mesh, or shared-memory SPSC rings
-(:mod:`repro.platform.shmring`) — and quiescence is detected by a
-token-ring protocol rather than shared counters.  The runtime facade
+frames (:mod:`repro.platform.wireformat`) over a byte-stream socket
+mesh (socketpairs on mp, TCP/UNIX listener connections on asyncio) —
+and quiescence is detected by a token-ring protocol rather than
+shared counters.  The runtime facade
 consults the flag to route driver operations as commands instead of
 direct calls.  Fault injection on mp is per-worker: each node derives
 its own injector seed, so the draw stream per (seed, node) is

@@ -3,8 +3,9 @@
 This is the first backend where the GIL no longer serialises node
 execution: every node runs a full runtime kernel inside its own
 worker process, active messages cross between nodes as **batched
-binary frames** (:mod:`repro.platform.wireformat`) over per-pair
-duplex links, and the driver process holds no kernel state at all —
+binary frames** (:mod:`repro.platform.wireformat`) over a full mesh
+of UNIX-domain stream socketpairs, and the driver process holds no
+kernel state at all —
 driver operations (load, spawn, send, call, grpnew, broadcast) travel
 to the owning worker as synchronously-acknowledged commands on a
 per-node control pipe.
@@ -21,14 +22,16 @@ The wire path is built for throughput, not per-packet convenience:
   interned handler-name id) plus a payload pickle of the args only,
   with a one-slot identity cache so a broadcast fan-out serialises its
   payload once per batch rather than once per destination;
-- **transport choice** — ``config.mp.transport`` selects full-mesh
-  duplex pipes (frames ride ``send_bytes``), full-mesh UNIX-domain
-  stream socketpairs (raw scatter writes, bulk ``recv`` reads that can
-  pull many frames per syscall; the decoder reassembles split frames),
-  or shared-memory SPSC rings (``"shm"``: one ring per directed peer
-  edge in a single ``multiprocessing.shared_memory`` arena, frames
-  copied in without a kernel crossing, spin-then-``Condition``
-  blocking on empty/full — :mod:`repro.platform.shmring`).
+- **one byte-stream link** — each peer pair shares one socket
+  (``sendall`` writes, bulk ``recv`` reads that can pull many frames
+  per syscall; the decoder reassembles split frames), and one worker
+  loop blocks on the control pipe and every peer socket at once.  The
+  asyncio backend hands the same loop TCP or UNIX sockets it dialled
+  at runtime instead of inherited socketpairs.
+
+A peer that closes its socket ends the worker: no stream is ever
+reconnected, so the driver reports the dead node as a
+:class:`~repro.errors.NodeFailure` instead of waiting on it.
 
 Batching never changes message *identity*: the Safra counters below
 count messages, not frames — a frame of five counted packets moves the
@@ -48,7 +51,7 @@ token ring:
 - node 0 coordinates: on a driver request it injects a white token
   carrying a running count; each worker forwards the token only when
   *passive* (no handler running, no live non-``steal.poll`` heap
-  entry, no unread pipe data), adds its counter, blackens the token if
+  entry, no unread socket data), adds its counter, blackens the token if
   it is black itself, and turns white;
 - when the token returns white to a white node 0 with a zero total,
   no counted message is in flight and no worker holds work: node 0
@@ -81,17 +84,17 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import multiprocessing
 import pickle
 import socket
+import time
 import traceback
-from multiprocessing import get_context
 from multiprocessing.connection import wait as conn_wait
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.config import RuntimeConfig
-from repro.errors import NetworkError, ReproError, SimulationError
+from repro.errors import NetworkError, NodeFailure, ReproError, SimulationError
 from repro.platform.base import WirePacket
-from repro.platform.shmring import attach_arena, create_arena
 from repro.platform.threaded import _CHATTER_KINDS, WallClock
 from repro.platform.wireformat import FrameDecoder, FrameEncoder, encode_payload
 from repro.rng import RngStreams, _derive_seed
@@ -114,66 +117,29 @@ _DRAIN_CAP = 64
 #: small power-of-two batch keeps both latency and syscalls low.
 _BURST_MASK = 0x07
 
-#: Shm transport: poll iterations before parking on the Condition.
-#: The common case (a peer's frame lands within microseconds) never
-#: touches the futex-ful cross-process lock.
-_SHM_SPIN = 100
-
-#: Shm transport: Condition-wait bound.  The sleeping/writer_wait
-#: handshake is a Dekker-style store→load protocol that can miss a
-#: wakeup under store buffering; the bounded wait converts that into
-#: a <=2 ms stall instead of a hang (DESIGN.md §5f).
-_SHM_WAIT_S = 0.002
-
-
 def _pickling_errors():
     return (TypeError, AttributeError, pickle.PicklingError)
 
 
+def _fork_context():
+    """Worker processes fork where the platform allows it (cheap, and
+    the children inherit the parent's imports)."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else None)
+
+
 # ======================================================================
-# peer channels: one per (worker, peer) pair, transport-specific
+# peer channel: one byte-stream socket per (worker, peer) pair
 # ======================================================================
-class _PipeChannel:
-    """Peer link over a multiprocessing duplex pipe.  Frames travel as
-    whole ``send_bytes`` messages, so the pipe's own message framing
-    does the reassembly and the decoder always sees complete frames."""
-
-    __slots__ = ("conn", "encoder", "decoder", "dirty")
-
-    def __init__(self, conn) -> None:
-        self.conn = conn
-        self.encoder = FrameEncoder()
-        self.decoder = FrameDecoder()
-        #: True while this channel may hold unflushed outbound bytes.
-        self.dirty = False
-
-    @property
-    def waitable(self):
-        return self.conn
-
-    def send_frame(self, frame: bytes) -> None:
-        self.conn.send_bytes(frame)
-
-    def read_available(self) -> None:
-        """Feed everything currently readable to the decoder."""
-        conn = self.conn
-        feed = self.decoder.feed
-        feed(conn.recv_bytes())
-        while conn.poll():
-            feed(conn.recv_bytes())
-
-    def close(self) -> None:
-        self.conn.close()
-
-
 class _SocketChannel:
-    """Peer link over a UNIX-domain stream socketpair.
+    """Peer link over a blocking byte-stream socket: one end of a
+    UNIX-domain socketpair (mp) or of a dialled TCP/UNIX connection
+    (asyncio).
 
-    Unlike the pipe channel there is no message boundary: one ``recv``
-    may return half a frame or a dozen frames, and the decoder's
-    reassembly buffer absorbs the difference.  Reads are bulk
-    (64 KiB), so a burst of small frames costs one syscall, not one
-    per frame — the low-syscall half of the transport experiment."""
+    There is no message boundary: one ``recv`` may return half a frame
+    or a dozen frames, and the decoder's reassembly buffer absorbs the
+    difference.  Reads are bulk (64 KiB) and non-blocking per call, so
+    a burst of small frames costs one syscall, not one per frame."""
 
     __slots__ = ("sock", "encoder", "decoder", "dirty")
 
@@ -184,10 +150,6 @@ class _SocketChannel:
         self.encoder = FrameEncoder()
         self.decoder = FrameDecoder()
         self.dirty = False
-
-    @property
-    def waitable(self):
-        return self.sock
 
     def send_frame(self, frame: bytes) -> None:
         self.sock.sendall(frame)
@@ -205,107 +167,6 @@ class _SocketChannel:
             feed(data)
             if len(data) < self._CHUNK:
                 return
-
-    def close(self) -> None:
-        self.sock.close()
-
-
-def _make_channel(end: Any) -> Any:
-    """Wrap a transport endpoint in its channel type."""
-    if isinstance(end, socket.socket):
-        return _SocketChannel(end)
-    return _PipeChannel(end)
-
-
-class _ShmChannel:
-    """Peer link over a pair of shared-memory SPSC byte rings (one per
-    direction; :mod:`repro.platform.shmring`).
-
-    Unlike the pipe/socket channels there is no OS waitable: readiness
-    is a head/tail compare, blocking is spin-then-``Condition``.  A
-    full outbound ring raises the ring's ``writer_wait`` flag and
-    parks on *this* worker's condition (the consumer notifies after
-    freeing space); while waiting, ``drain_hook`` absorbs this
-    worker's own inbound rings into their decoders — buffer-only, no
-    dispatch, so it is safe mid-handler — which breaks the two-rings-
-    both-full write cycle.  Frames larger than the ring cross in
-    chunks; the decoder reassembles, exactly as on the socket path."""
-
-    __slots__ = (
-        "out_ring", "in_ring", "encoder", "decoder", "dirty",
-        "_arena", "_peer", "_my_cond", "_peer_cond", "drain_hook",
-    )
-
-    def __init__(self, arena, conds, me: int, peer: int) -> None:
-        self.out_ring = arena.ring(me, peer)
-        self.in_ring = arena.ring(peer, me)
-        self.encoder = FrameEncoder()
-        self.decoder = FrameDecoder()
-        self.dirty = False
-        self._arena = arena
-        self._peer = peer
-        self._my_cond = conds[me]
-        self._peer_cond = conds[peer]
-        #: Host-installed: feed *all* inbound rings to their decoders.
-        self.drain_hook = None
-
-    def send_frame(self, frame: bytes) -> None:
-        mv = memoryview(frame)
-        off = 0
-        total = len(mv)
-        spins = 0
-        out = self.out_ring
-        while off < total:
-            n = out.write_some(mv[off:] if off else mv)
-            if n:
-                off += n
-                spins = 0
-                self._wake_peer()
-                continue
-            # Full ring: keep our own inbound moving, spin, then park.
-            hook = self.drain_hook
-            if hook is not None:
-                hook()
-            spins += 1
-            if spins < _SHM_SPIN:
-                continue
-            out.set_writer_wait()
-            try:
-                if out.writable:
-                    continue  # consumer freed space during the spin
-                with self._my_cond:
-                    self._my_cond.wait(_SHM_WAIT_S)
-            finally:
-                out.clear_writer_wait()
-            spins = 0
-
-    def _wake_peer(self) -> None:
-        if self._arena.sleeping(self._peer):
-            cond = self._peer_cond
-            with cond:
-                cond.notify()
-
-    def read_available(self) -> bool:
-        """Move every published inbound byte into the decoder; True if
-        anything arrived.  Frees ring space as a side effect, so a
-        writer parked on the reverse direction gets notified here."""
-        got = False
-        in_ring = self.in_ring
-        feed = self.decoder.feed
-        while True:
-            data = in_ring.read_some()
-            if not data:
-                break
-            got = True
-            feed(data)
-            if in_ring.writer_waiting:
-                cond = self._peer_cond
-                with cond:
-                    cond.notify()
-        return got
-
-    def close(self) -> None:
-        """Nothing to close per channel; the arena is shared."""
 
 
 # ======================================================================
@@ -584,7 +445,7 @@ class _WorkerRuntime:
 # ======================================================================
 class _WorkerHost:
     """The event loop of one worker process: drains the node heap,
-    services the control and peer pipes, and participates in the
+    services the control pipe and peer sockets, and participates in the
     token-ring termination protocol."""
 
     def __init__(
@@ -593,8 +454,7 @@ class _WorkerHost:
         config: RuntimeConfig,
         costs,
         ctrl,
-        peers: Dict[int, Any],
-        shm: Optional[tuple] = None,
+        peers: Dict[int, socket.socket],
         fault_plan=None,
     ) -> None:
         self.node_id = node_id
@@ -613,36 +473,13 @@ class _WorkerHost:
         self._token: Optional[tuple] = None     # stashed inbound token
         self._detect_rid: Optional[int] = None  # node 0: active request
         self._initiated_rid: Optional[int] = None  # node 0: round launched
-        self._arena = None
-        if shm is not None:
-            # Shm transport: attach the driver's arena (untracked) and
-            # build ring channels; there are no OS waitables beyond the
-            # control pipe — readiness is a head/tail compare.
-            arena_name, conds = shm
-            self._arena = attach_arena(
-                arena_name, config.num_nodes, config.mp.ring_bytes
-            )
-            self._my_cond = conds[node_id]
-            self.channels: Dict[int, Any] = {
-                nid: _ShmChannel(self._arena, conds, node_id, nid)
-                for nid in range(config.num_nodes)
-                if nid != node_id
-            }
-            for ch in self.channels.values():
-                ch.drain_hook = self._absorb_inbound
-            self._by_waitable: Dict[Any, Any] = {}
-            self._waitables = [ctrl]
-        else:
-            self.channels = {
-                nid: _make_channel(end) for nid, end in peers.items()
-            }
-            self._by_waitable = {
-                ch.waitable: ch for ch in self.channels.values()
-            }
-            self._waitables = [ctrl] + [
-                self.channels[k].waitable for k in sorted(self.channels)
-            ]
-        self._chan_list = [self.channels[k] for k in sorted(self.channels)]
+        self.channels: Dict[int, _SocketChannel] = {
+            nid: _SocketChannel(sock) for nid, sock in peers.items()
+        }
+        self._by_waitable = {ch.sock: ch for ch in self.channels.values()}
+        self._waitables = [ctrl] + [
+            self.channels[k].sock for k in sorted(self.channels)
+        ]
         #: Channels that may hold unflushed outbound bytes.
         self._dirty: List[Any] = []
         self._batch_bytes = config.mp.batch_bytes
@@ -784,23 +621,8 @@ class _WorkerHost:
         return not self._net_ready()
 
     def _net_ready(self) -> bool:
-        """Unread input exists: published ring bytes (shm) or readable
-        waitables (pipe/socket); the control pipe counts either way."""
-        if self._arena is not None:
-            for ch in self._chan_list:
-                if ch.in_ring.readable:
-                    return True
-            return self.ctrl.poll()
+        """Unread input exists on the control pipe or a peer socket."""
         return bool(conn_wait(self._waitables, 0))
-
-    def _absorb_inbound(self) -> None:
-        """Feed every inbound ring to its decoder — buffer only, no
-        dispatch, so it is safe mid-handler.  Installed as the shm
-        channels' ``drain_hook``: a writer parked on a full outbound
-        ring keeps its own consumers' space moving, which breaks the
-        both-rings-full write cycle between two busy peers."""
-        for ch in self._chan_list:
-            ch.read_available()
 
     def _maybe_advance_ring(self) -> None:
         # One step can unblock the next (dropping a stale token clears
@@ -933,6 +755,8 @@ class _WorkerHost:
             return None
         if op == "snap":
             return self._snapshot()
+        if op == "resolve":
+            return self._resolve(payload[1])
         if op == "audit":
             return self._audit()
         if op == "detect":
@@ -961,6 +785,23 @@ class _WorkerHost:
 
         cont = kernel.continuations.new(1, fire, created_at=kernel.node.now)
         return ReplyTarget(kernel.node_id, cont.cont_id, 0)
+
+    def _resolve(self, address) -> tuple:
+        """One hop of the driver's FIR-style name chase
+        (:meth:`repro.platform.asyncio_net.AsyncioMachine.locate`):
+        this node's current belief about ``address``, read straight
+        from the name table — ``("local", node)``, ``("forward",
+        best_guess)`` or ``("unknown",)``.  A pure read: it never
+        injects work or clears quiescence."""
+        desc = self.kernel.table.get(address)
+        if desc is None:
+            return ("unknown",)
+        if desc.is_local:
+            return ("local", self.node_id)
+        remote = desc.remote_node
+        if remote >= 0 and remote != self.node_id:
+            return ("forward", remote)
+        return ("unknown",)
 
     def _audit(self) -> Dict[str, Any]:
         """This worker's slice of the invariant audit: retained-work
@@ -1075,15 +916,9 @@ class _WorkerHost:
             return None
         return max(0.0, (heap[0][0] - self.clock.now) / 1e6)
 
-    def loop(self) -> None:
-        if self._arena is not None:
-            self._loop_shm()
-        else:
-            self._loop_wait()
-
     def _loop_wait(self) -> None:
-        """Pipe/socket event loop: block in ``connection.wait`` on the
-        control pipe and every peer waitable."""
+        """The worker event loop: block in ``connection.wait`` on the
+        control pipe and every peer socket."""
         by_waitable = self._by_waitable
         while not self._stop:
             try:
@@ -1111,7 +946,10 @@ class _WorkerHost:
                         for rec in ch.decoder.drain():
                             self._dispatch_record(rec)
             except (EOFError, OSError):
-                return  # the driver went away; nothing left to serve
+                # The driver or a peer went away.  No stream is ever
+                # reconnected, so the partition is over: exit and let
+                # the driver report the dead node (NodeFailure).
+                return
             except Exception:
                 try:
                     self.ctrl.send(
@@ -1119,72 +957,6 @@ class _WorkerHost:
                     )
                 except OSError:
                     return
-
-    def _loop_shm(self) -> None:
-        """Shm event loop: readiness is a head/tail compare, not a
-        waitable — poll the rings and the control pipe, park on this
-        worker's Condition (sleeping flag raised) only when nothing
-        progressed and no heap entry is due."""
-        chans = self._chan_list
-        node = self.node
-        while not self._stop:
-            try:
-                before = node.events_run
-                self._run_ready()
-                self._maybe_advance_ring()
-                self._flush_pending()
-                progressed = node.events_run != before
-                if self.ctrl.poll():
-                    progressed = True
-                    for _ in range(_DRAIN_CAP):
-                        if not self.ctrl.poll():
-                            break
-                        self._dispatch_ctrl(self.ctrl.recv())
-                        if self._stop:
-                            return
-                for ch in chans:
-                    if ch.read_available():
-                        progressed = True
-                    # A blocked send's drain_hook may have buffered
-                    # records behind our back: drain decoders
-                    # unconditionally, not just on fresh ring bytes.
-                    for rec in ch.decoder.drain():
-                        progressed = True
-                        self._dispatch_record(rec)
-                if progressed:
-                    continue
-                timeout = self._next_timeout()
-                if timeout == 0.0:
-                    continue  # a heap entry is already due
-                self._sleep_shm(timeout)
-            except (EOFError, OSError):
-                return  # the driver went away; nothing left to serve
-            except Exception:
-                try:
-                    self.ctrl.send(
-                        ("err", self.node_id, traceback.format_exc())
-                    )
-                except OSError:
-                    return
-
-    def _sleep_shm(self, timeout: Optional[float]) -> None:
-        """Park with the sleeping flag raised so peers (and the
-        driver) notify this worker's Condition.  The readiness recheck
-        *inside* the lock shrinks — the bounded wait closes — the
-        Dekker window between a peer's tail publish and its read of
-        our sleeping flag (DESIGN.md §5f)."""
-        wait = _SHM_WAIT_S if timeout is None else min(timeout, _SHM_WAIT_S)
-        if wait <= 0.0:
-            return
-        arena = self._arena
-        cond = self._my_cond
-        arena.set_sleeping(self.node_id, True)
-        try:
-            with cond:
-                if not self._net_ready():
-                    cond.wait(wait)
-        finally:
-            arena.set_sleeping(self.node_id, False)
 
 
 def _worker_main(
@@ -1192,24 +964,23 @@ def _worker_main(
     config: RuntimeConfig,
     costs,
     ctrl,
-    peers,
-    shm: Optional[tuple] = None,
+    peers: Dict[int, socket.socket],
     fault_plan=None,
 ) -> None:
     """Process entry point (module-level so a spawn start method can
     pickle it; the fork path just inherits everything)."""
-    host = None
     try:
-        host = _WorkerHost(node_id, config, costs, ctrl, peers, shm, fault_plan)
-        host.loop()
+        _WorkerHost(node_id, config, costs, ctrl, peers, fault_plan)._loop_wait()
     except BaseException:  # noqa: BLE001 - last-resort report to driver
-        try:
-            ctrl.send(("err", node_id, traceback.format_exc()))
-        except OSError:
-            pass
-    finally:
-        if host is not None and host._arena is not None:
-            host._arena.close()
+        _report_error(ctrl, node_id)
+
+
+def _report_error(ctrl, node_id: int) -> None:
+    """Ship the current traceback to the driver, if it is listening."""
+    try:
+        ctrl.send(("err", node_id, traceback.format_exc()))
+    except OSError:
+        pass
 
 
 # ======================================================================
@@ -1398,55 +1169,30 @@ class MpMachine:
         self._actors = 0
         self._worker_error: Optional[str] = None
         self._shut = False
-        self._arena = None
-        self._conds: Optional[List[Any]] = None
+        #: Set once a worker is found dead; every later control-plane
+        #: call re-raises it instead of touching the broken pipes.
+        self._failure: Optional[NodeFailure] = None
 
     # ------------------------------------------------------------------
     # boot / teardown
     # ------------------------------------------------------------------
     def start_workers(self, costs) -> None:
         """Spawn one worker process per node, wired with a control
-        pipe each and a full mesh of peer links — duplex pipes or
-        UNIX-domain socketpairs per ``config.mp.transport``."""
+        pipe each and a full mesh of UNIX-domain socketpairs."""
         if self._procs:
             return
-        import multiprocessing as _mp
-
-        methods = _mp.get_all_start_methods()
-        ctx = get_context("fork" if "fork" in methods else None)
+        ctx = _fork_context()
         nn = self.config.num_nodes
-        transport = self.config.mp.transport
-        use_sockets = transport == "socket"
-        shm_info = None
-        peer_ends: List[Dict[int, Any]] = [dict() for _ in range(nn)]
-        if transport == "shm":
-            # One arena of per-edge rings plus one Condition per worker
-            # (park/notify for empty rings, full rings and control
-            # commands alike).  Conditions travel as Process args —
-            # inheritable under fork and spawn — while the arena goes
-            # by *name*: SharedMemory itself does not pickle, and the
-            # worker must attach untracked anyway (shmring docstring).
-            self._arena = create_arena(nn, self.config.mp.ring_bytes)
-            self._conds = [ctx.Condition() for _ in range(nn)]
-            shm_info = (self._arena.name, self._conds)
-        else:
-            for i in range(nn):
-                for j in range(i + 1, nn):
-                    if use_sockets:
-                        a, b = socket.socketpair()
-                    else:
-                        a, b = ctx.Pipe(duplex=True)
-                    peer_ends[i][j] = a
-                    peer_ends[j][i] = b
+        peer_ends: List[Dict[int, socket.socket]] = [dict() for _ in range(nn)]
+        for i in range(nn):
+            for j in range(i + 1, nn):
+                peer_ends[i][j], peer_ends[j][i] = socket.socketpair()
         for i in range(nn):
             parent, child = ctx.Pipe(duplex=True)
             self._ctrl.append(parent)
             proc = ctx.Process(
                 target=_worker_main,
-                args=(
-                    i, self.config, costs, child, peer_ends[i],
-                    shm_info, self.fault_plan,
-                ),
+                args=(i, self.config, costs, child, peer_ends[i], self.fault_plan),
                 name=f"repro-mp-node-{i}",
                 daemon=True,
             )
@@ -1458,26 +1204,16 @@ class MpMachine:
             for end in ends.values():
                 end.close()
 
-    def _notify_worker(self, node: int) -> None:
-        """Shm mode: kick the worker's Condition after a control send —
-        a parked worker would otherwise only notice at its next bounded
-        wakeup (≤ ``_SHM_WAIT_S``)."""
-        if self._conds is not None:
-            cond = self._conds[node]
-            with cond:
-                cond.notify()
-
     def shutdown(self) -> None:
         """Stop and join every worker process.  Idempotent."""
         if self._shut:
             return
         self._shut = True
-        for node, conn in enumerate(self._ctrl):
+        for conn in self._ctrl:
             try:
                 conn.send(("cmd", next(self._seq), ("stop",)))
             except (OSError, ValueError):
                 pass
-            self._notify_worker(node)
         for proc in self._procs:
             proc.join(timeout=2.0)
         for proc in self._procs:
@@ -1486,20 +1222,41 @@ class MpMachine:
                 proc.join(timeout=1.0)
         for conn in self._ctrl:
             conn.close()
-        if self._arena is not None:
-            # Workers have joined (or been killed): release the
-            # driver's mapping and destroy the segment.
-            self._arena.close()
-            self._arena.unlink()
-            self._arena = None
 
     # ------------------------------------------------------------------
     # control plane
     # ------------------------------------------------------------------
     def _raise_worker_error(self) -> None:
+        if self._failure is not None:
+            raise self._failure
         if self._worker_error is not None:
             err, self._worker_error = self._worker_error, None
             raise ReproError(f"mp worker failed:\n{err}")
+
+    #: How long a broken control pipe waits for the dead worker's
+    #: exit status before naming a node.
+    _REAP_S = 1.0
+
+    def _node_failure(self, node: int, exc: BaseException) -> NodeFailure:
+        """Turn a broken control pipe into a typed :class:`NodeFailure`.
+
+        The pipe that broke need not be the dead worker's: a killed
+        node's peers see EOF on their sockets and exit cleanly, closing
+        their own pipes.  So name the first worker whose exit status is
+        non-zero (waiting briefly for it to be reaped), falling back to
+        ``node``, whose pipe failed, if every worker exited cleanly."""
+        deadline = time.monotonic() + self._REAP_S
+        while True:
+            codes = [proc.exitcode for proc in self._procs]
+            for nid, code in enumerate(codes):
+                if code:
+                    self._failure = NodeFailure(nid, code)
+                    return self._failure
+            if time.monotonic() >= deadline or None not in codes:
+                break
+            time.sleep(0.005)
+        self._failure = NodeFailure(node, codes[node], detail=repr(exc))
+        return self._failure
 
     def _note_event(self, msg: tuple) -> None:
         """Record an unsolicited control event (reply, detection
@@ -1518,19 +1275,20 @@ class MpMachine:
     def _drain_events(self, timeout: float = 0.0) -> bool:
         """Read every available control event; True if any arrived."""
         got = False
-        for conn in conn_wait(self._ctrl, timeout):
-            while conn.poll():
-                self._note_event(conn.recv())
-                got = True
+        node = 0
+        try:
+            for conn in conn_wait(self._ctrl, timeout):
+                node = self._ctrl.index(conn)
+                while conn.poll():
+                    self._note_event(conn.recv())
+                    got = True
+        except (EOFError, OSError) as exc:
+            raise self._node_failure(node, exc) from exc
         self._raise_worker_error()
         return got
 
-    def command(self, node: int, payload: tuple) -> Any:
-        """Send one command to ``node`` and block for its ack, noting
-        any interleaved unsolicited events."""
-        self._raise_worker_error()
+    def _send_command(self, conn, payload: tuple) -> int:
         seq = next(self._seq)
-        conn = self._ctrl[node]
         try:
             conn.send(("cmd", seq, payload))
         except _pickling_errors() as exc:
@@ -1538,7 +1296,9 @@ class MpMachine:
                 f"the mp backend requires picklable driver payloads "
                 f"(module-level behaviours/tasks, plain-data args): {exc}"
             ) from exc
-        self._notify_worker(node)
+        return seq
+
+    def _await_ack(self, conn, seq: int) -> Any:
         while True:
             msg = conn.recv()
             if msg[0] == "ok" and msg[1] == seq:
@@ -1546,31 +1306,30 @@ class MpMachine:
             self._note_event(msg)
             self._raise_worker_error()
 
+    def command(self, node: int, payload: tuple) -> Any:
+        """Send one command to ``node`` and block for its ack, noting
+        any interleaved unsolicited events."""
+        self._raise_worker_error()
+        conn = self._ctrl[node]
+        try:
+            return self._await_ack(conn, self._send_command(conn, payload))
+        except (EOFError, OSError) as exc:
+            raise self._node_failure(node, exc) from exc
+
     def broadcast_command(self, payload: tuple) -> List[Any]:
         """Send the same command to every worker; wait for all acks."""
         self._raise_worker_error()
-        seqs = []
-        for node, conn in enumerate(self._ctrl):
-            seq = next(self._seq)
-            seqs.append(seq)
-            try:
-                conn.send(("cmd", seq, payload))
-            except _pickling_errors() as exc:
-                raise ReproError(
-                    f"the mp backend requires picklable driver payloads "
-                    f"(module-level behaviours/tasks, plain-data args): {exc}"
-                ) from exc
-            self._notify_worker(node)
-        values = []
-        for conn, seq in zip(self._ctrl, seqs):
-            while True:
-                msg = conn.recv()
-                if msg[0] == "ok" and msg[1] == seq:
-                    values.append(msg[2])
-                    break
-                self._note_event(msg)
-                self._raise_worker_error()
-        return values
+        node = 0
+        try:
+            seqs = []
+            for node, conn in enumerate(self._ctrl):
+                seqs.append(self._send_command(conn, payload))
+            values = []
+            for node, (conn, seq) in enumerate(zip(self._ctrl, seqs)):
+                values.append(self._await_ack(conn, seq))
+            return values
+        except (EOFError, OSError) as exc:
+            raise self._node_failure(node, exc) from exc
 
     # ------------------------------------------------------------------
     # driver operations (used by HalRuntime's distributed branches)
@@ -1683,7 +1442,7 @@ class MpMachine:
     def _refresh(self) -> None:
         """Pull a snapshot from every worker and rebuild the merged
         registry, location map and console."""
-        if not self._procs or self._shut:
+        if not self._procs or self._shut or self._failure is not None:
             return
         snaps = self.broadcast_command(("snap",))
         self.stats.reset()
@@ -1719,16 +1478,14 @@ class MpMachine:
         certification; the balancers have stopped, so it strictly
         drains) — settle-wait for it, bounded, and let a *persistent*
         unacked envelope surface as the real violation it is."""
-        import time as _time
-
-        deadline = _time.monotonic() + self._AUDIT_SETTLE_S
+        deadline = time.monotonic() + self._AUDIT_SETTLE_S
         while True:
             reports = self.broadcast_command(("audit",))
             if not any(r["rel_pending"] for r in reports):
                 break
-            if _time.monotonic() >= deadline:  # pragma: no cover
+            if time.monotonic() >= deadline:  # pragma: no cover
                 break
-            _time.sleep(0.002)
+            time.sleep(0.002)
         self._refresh()
         return reports
 

@@ -1,30 +1,34 @@
 """Discrete-event simulated multicomputer (the CM-5 substitute).
 
-This package provides the machine substrate everything else runs on:
+This package provides the machine substrate the sim backend runs on:
 
 - :mod:`repro.sim.engine` — deterministic event heap and per-node
   virtual clocks;
-- :mod:`repro.sim.topology` — fat-tree / hypercube coordinates and the
-  hypercube-like minimum spanning trees used for broadcast;
 - :mod:`repro.sim.network` — contention-aware interconnect model;
-- :mod:`repro.sim.machine` — partition manager + processing elements;
-- :mod:`repro.sim.rng` — named deterministic random substreams;
-- :mod:`repro.sim.stats` / :mod:`repro.sim.trace` — measurement.
+- :mod:`repro.sim.faults` / :mod:`repro.sim.invariants` — fault
+  injection and the post-run audit.
+
+For convenience it also re-exports the layer-neutral pieces every
+backend shares: the partition (:class:`Machine`, the discrete-event
+backend :class:`repro.platform.simbackend.SimMachine`), topologies
+(:mod:`repro.topology`), named random streams (:mod:`repro.rng`),
+stats (:mod:`repro.stats`) and tracing (:mod:`repro.tracing`,
+:mod:`repro.timeline`).
 """
 
+from repro.platform.simbackend import SimMachine as Machine
+from repro.rng import RngStreams
 from repro.sim.engine import Event, Simulator, SimNode
-from repro.sim.machine import Machine
 from repro.sim.network import Network
-from repro.sim.rng import RngStreams
-from repro.sim.stats import Histogram, StatsRegistry
-from repro.sim.timeline import chrome_trace, spans_jsonl
-from repro.sim.topology import FatTreeTopology, HypercubeTopology, make_topology
-from repro.sim.trace import (
+from repro.stats import Histogram, StatsRegistry
+from repro.timeline import chrome_trace, spans_jsonl
+from repro.topology import FatTreeTopology, HypercubeTopology, make_topology
+from repro.tracectx import TraceCtx
+from repro.tracing import (
     NullSpanRecorder,
     NullTraceLog,
     Span,
     SpanRecorder,
-    TraceCtx,
     TraceLog,
 )
 

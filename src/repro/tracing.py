@@ -49,8 +49,7 @@ The span path is built so tracing can stay enabled in production:
   they are bit-identical at any sample rate.
 
 The module is execution-backend-neutral: the discrete-event simulator
-and the real-time threaded backend feed the same recorders
-(``repro.sim.trace`` remains as a backwards-compatible re-export).
+and the real-time threaded backend feed the same recorders.
 """
 
 from __future__ import annotations

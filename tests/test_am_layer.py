@@ -16,9 +16,9 @@ from repro.config import NetworkParams
 from repro.errors import FlowControlError, HandlerError, NetworkError
 from repro.sim.engine import SimNode, Simulator
 from repro.sim.network import Network
-from repro.sim.stats import StatsRegistry
-from repro.sim.topology import HypercubeTopology
-from repro.sim.trace import TraceLog
+from repro.stats import StatsRegistry
+from repro.topology import HypercubeTopology
+from repro.tracing import TraceLog
 
 
 def make_endpoints(n=4):

@@ -1,49 +1,38 @@
-"""Asyncio socket-mesh backend: read-loop robustness and cluster
-naming.
+"""Socket-cluster ("asyncio") backend: read-loop robustness, mesh
+bring-up and cluster naming.
 
-The adversarial-segmentation property drives the backend's *actual*
-reader-pump coroutine (``_AsyncWorkerHost._pump``) over a real
-``asyncio.StreamReader``: TCP may present any byte chunking of any
-frame sequence, interleaved with event-loop scheduling points, and the
-pump + decoder must reassemble exactly the sent records.  The naming
-tests pin the driver-side FIR-style chase: resolution starts from the
-birthplace shard an address encodes, follows forwarding guesses, and
-back-patches the driver cache.
+The adversarial-segmentation properties drive the worker loop's
+*actual* read path (``_SocketChannel.read_available``) over a real
+socket: TCP may present any byte chunking of any frame sequence, and
+the channel's decoder must reassemble exactly the sent records, while
+a peer EOF must end the read loop.  The bring-up test pins the
+deadline: dialling a dead address fails with an error naming the node
+and the peer.  The naming tests pin the driver-side FIR-style chase:
+resolution starts from the birthplace shard an address encodes,
+follows forwarding guesses, and back-patches the driver cache.
 """
 
 from __future__ import annotations
 
-import asyncio
+import socket
+import time
+from multiprocessing import Pipe
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.scenarios import run_migration_tour, run_scenario
-from repro.config import NetParams
-from repro.platform.asyncio_net import (
-    _NET_ACK_TIMEOUT_US,
-    _AsyncChannel,
-    _AsyncWorkerHost,
-    _net_worker_config,
-)
+from repro.config import NetParams, RuntimeConfig
+from repro.errors import NetworkError
+from repro.platform.asyncio_net import _mesh
 from repro.platform.base import WirePacket
+from repro.platform.mp import _SocketChannel
 from repro.platform.wireformat import FrameDecoder, FrameEncoder
 
 
 # ----------------------------------------------------------------------
-# adversarial TCP segmentation through the backend's read loop
+# adversarial TCP segmentation through the worker's read path
 # ----------------------------------------------------------------------
-class _PumpProbe:
-    """Just enough host surface for the real pump coroutine: the wake
-    event it signals and the EOF flag it raises."""
-
-    _pump = _AsyncWorkerHost._pump
-
-    def __init__(self) -> None:
-        self._wake = asyncio.Event()
-        self._eof = False
-
-
 def _simple_packets():
     names = st.sampled_from(["deliver_keyed", "fir_req", "__rel__", "h"])
     return st.builds(
@@ -63,12 +52,11 @@ class TestAdversarialSegmentation:
         st.data(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_pump_reassembles_any_chunking(self, pkts, data):
-        """Feed the wire bytes to the pump's StreamReader in
-        adversarially-chosen chunks with scheduling points between
-        them; the channel decoder must yield exactly the records a
-        whole-stream decode yields, and EOF must raise the host's
-        eof flag and wake it."""
+    def test_read_loop_reassembles_any_chunking(self, pkts, data):
+        """Write the wire bytes in adversarially-chosen chunks, reading
+        after each and draining at arbitrary points; the channel must
+        yield exactly the records a whole-stream decode yields, and the
+        peer's EOF must end the read loop."""
         enc = FrameEncoder()
         wire = bytearray()
         for i, p in enumerate(pkts):
@@ -85,84 +73,86 @@ class TestAdversarialSegmentation:
         expect_dec.feed(bytes(wire))
         expected = list(expect_dec.drain())
 
-        async def scenario():
-            reader = asyncio.StreamReader()
-            ch = _AsyncChannel(reader, None)
-            probe = _PumpProbe()
-            task = asyncio.ensure_future(probe._pump(ch))
+        writer, reader = socket.socketpair()
+        try:
+            ch = _SocketChannel(reader)
+            records = []
             pos = 0
             while pos < len(wire):
                 step = data.draw(
                     st.integers(1, len(wire) - pos), label="chunk size"
                 )
-                reader.feed_data(bytes(wire[pos:pos + step]))
+                writer.sendall(bytes(wire[pos:pos + step]))
                 pos += step
-                if data.draw(st.booleans(), label="yield"):
-                    # A scheduling point: the pump may run on any
-                    # prefix of the stream.
-                    await asyncio.sleep(0)
-            reader.feed_eof()
-            await task
-            return list(ch.decoder.drain()), probe
-
-        records, probe = asyncio.run(scenario())
+                ch.read_available()
+                if data.draw(st.booleans(), label="drain"):
+                    records.extend(ch.decoder.drain())
+            writer.close()
+            with pytest.raises(EOFError):
+                ch.read_available()
+            records.extend(ch.decoder.drain())
+        finally:
+            writer.close()
+            reader.close()
         assert records == expected
-        assert probe._eof
-        assert probe._wake.is_set()
 
     @given(st.data())
     @settings(max_examples=20, deadline=None)
-    def test_pump_holds_partial_frames_across_reads(self, data):
-        """A frame split one byte at a time never yields early or
-        corrupts: records appear only once their frame completes."""
+    def test_read_loop_holds_partial_frames_across_reads(self, data):
+        """A frame split at any byte never yields early or corrupts:
+        records appear only once their frame completes, and the
+        partial frame keeps the channel non-empty (so the worker is
+        never passive with it pending)."""
         enc = FrameEncoder()
         p = WirePacket(0, 1, "deliver_keyed", (42,), 64, "deliver_keyed")
         enc.add_message(p)
         wire = enc.take_frame()
         cut = data.draw(st.integers(1, len(wire) - 1), label="cut")
 
-        async def scenario():
-            reader = asyncio.StreamReader()
-            ch = _AsyncChannel(reader, None)
-            probe = _PumpProbe()
-            task = asyncio.ensure_future(probe._pump(ch))
-            reader.feed_data(wire[:cut])
-            await asyncio.sleep(0)
-            early = list(ch.decoder.drain())
-            reader.feed_data(wire[cut:])
-            reader.feed_eof()
-            await task
-            return early, list(ch.decoder.drain())
-
-        early, late = asyncio.run(scenario())
-        assert early == []
-        assert late == [("msg", p)]
+        writer, reader = socket.socketpair()
+        try:
+            ch = _SocketChannel(reader)
+            writer.sendall(wire[:cut])
+            ch.read_available()
+            assert list(ch.decoder.drain()) == []
+            assert ch.decoder.buffered_bytes == cut
+            writer.sendall(wire[cut:])
+            ch.read_available()
+            assert list(ch.decoder.drain()) == [("msg", p)]
+        finally:
+            writer.close()
+            reader.close()
 
 
 # ----------------------------------------------------------------------
-# worker config: the loss-tolerance layer is always on
+# mesh bring-up: deadline-guarded dialling
 # ----------------------------------------------------------------------
-class TestWorkerConfig:
-    def test_automatic_reliability_is_forced_on_with_wall_clock_floors(self):
-        from repro.config import RuntimeConfig
-
-        cfg = _net_worker_config(RuntimeConfig(num_nodes=2, seed=1))
-        assert cfg.reliability.enabled is True
-        assert cfg.reliability.ack_timeout_us >= _NET_ACK_TIMEOUT_US
-
-    def test_explicit_settings_are_honoured(self):
-        from repro.config import ReliabilityParams, RuntimeConfig
-
-        off = _net_worker_config(RuntimeConfig(
-            num_nodes=2, seed=1,
-            reliability=ReliabilityParams(enabled=False),
-        ))
-        assert off.reliability.enabled is False
-        custom = _net_worker_config(RuntimeConfig(
-            num_nodes=2, seed=1,
-            reliability=ReliabilityParams(enabled=True, ack_timeout_us=123.0),
-        ))
-        assert custom.reliability.ack_timeout_us == 123.0
+class TestMeshBringUp:
+    def test_unreachable_peer_raises_network_error_naming_both(self):
+        """Node 1 of 2 is handed an address nobody listens on: it must
+        give up after ``connect_timeout_s`` with an error that names
+        itself and the peer, not redial forever."""
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()  # nothing listens here any more
+        cfg = RuntimeConfig(
+            num_nodes=2, backend="asyncio",
+            net=NetParams(connect_timeout_s=0.2),
+        )
+        driver, worker = Pipe(duplex=True)
+        driver.send(("peers", {0: ("tcp", "127.0.0.1", port)}))
+        start = time.monotonic()
+        try:
+            with pytest.raises(NetworkError, match="node 1") as info:
+                _mesh(1, cfg, worker)
+            assert "peer 0" in str(info.value)
+            assert str(port) in str(info.value)
+            assert time.monotonic() - start < 5.0
+            assert driver.recv()[0] == "listening"
+        finally:
+            driver.close()
+            worker.close()
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ much stealing happens is scheduling-dependent by design).
 
 Stats parity goes further where the protocols are deterministic: for
 scenarios without load balancing the full final counter sets must
-match exactly across all three backends (the same messages, FIRs and
+match exactly across the sim, threaded, mp and asyncio backends (the same messages, FIRs and
 migrations happen, whatever the interleaving); once work stealing is
 on, only the steal-traffic-dependent counters are exempt.
 """
@@ -95,24 +95,36 @@ def test_backends_reach_identical_final_state(name):
         mp_res.runtime.close()
 
 
-@pytest.mark.parametrize("name", SCENARIO_NAMES)
-def test_stats_parity_sim_vs_mp(name):
+def _assert_stats_parity(name, backend):
     """Final StatsRegistry counters agree between the sim and the
-    merged mp registries: exactly for sequential scenarios, and modulo
-    steal-dependent traffic once load balancing is on."""
+    merged registries of a process backend: exactly for sequential
+    scenarios, and modulo steal-dependent traffic once load balancing
+    is on."""
     sim_res = run_scenario(name, trace=False, backend="sim")
-    mp_res = run_scenario(name, trace=False, backend="mp")
+    net_res = run_scenario(name, trace=False, backend=backend)
     try:
-        sim_rt, mp_rt = sim_res.runtime, mp_res.runtime
+        sim_rt, net_rt = sim_res.runtime, net_res.runtime
         if name in SEQUENTIAL_SCENARIOS:
-            assert sim_rt.stats.counters == _no_wire(mp_rt.stats.counters)
+            assert sim_rt.stats.counters == _no_wire(net_rt.stats.counters)
         else:
             assert _stable_counters(sim_rt) == _no_wire(
-                _stable_counters(mp_rt)
+                _stable_counters(net_rt)
             )
     finally:
         sim_res.runtime.close()
-        mp_res.runtime.close()
+        net_res.runtime.close()
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_stats_parity_sim_vs_mp(name):
+    _assert_stats_parity(name, "mp")
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_stats_parity_sim_vs_asyncio(name):
+    """The listener-mesh backend books the same counters as mp: with no
+    fault plan no reliable-AM envelope or ack crosses its sockets."""
+    _assert_stats_parity(name, "asyncio")
 
 
 @pytest.mark.parametrize("name", SEQUENTIAL_SCENARIOS)
@@ -161,9 +173,7 @@ def test_mp_backend_converges_across_seeds(name):
 @pytest.mark.parametrize("name", SEQUENTIAL_SCENARIOS)
 def test_asyncio_backend_matches_sim_final_state(name):
     """The socket-cluster backend reaches the sim's exact final state
-    (summary, actor count, ground-truth locations).  Counters are not
-    compared: the always-attached reliable sublayer books `rel.*`
-    traffic no lossless backend has."""
+    (summary, actor count, ground-truth locations)."""
     sim_res = run_scenario(name, trace=False, backend="sim")
     net_res = run_scenario(name, trace=False, backend="asyncio")
     try:

@@ -161,21 +161,19 @@ class TestFaultFuzzMp:
     driver, with exact packet conservation because the mp counters are
     process-local and never raced."""
 
-    def _run(self, scenario, faults_seed, seed, transport, **kw):
-        from repro.config import MpParams
-
+    def _run(self, scenario, faults_seed, seed, **kw):
         runner = (run_migration_tour if scenario == "migration_tour"
                   else run_fibonacci_loadbalance)
         hint = (
             f"replay: PYTHONPATH=src python -m repro faults {scenario} "
-            f"--backend mp --mp-transport {transport} --seed {seed} "
+            f"--backend mp --seed {seed} "
             f"--drop 0.08 --dup 0.08 --delay 0.1 --faults-seed {faults_seed}"
         )
         res = None
         try:
             res = runner(
                 trace=False, seed=seed, faults=_chaos(faults_seed),
-                backend="mp", mp=MpParams(transport=transport), **kw,
+                backend="mp", **kw,
             )
             report = check_invariants(res.runtime)
         except (InvariantViolation, AssertionError, RuntimeError) as exc:
@@ -185,11 +183,9 @@ class TestFaultFuzzMp:
                 res.runtime.close()
         return res, report, hint
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_migration_tour_chaos(self, faults_seed_base, transport):
+    def test_migration_tour_chaos(self, faults_seed_base):
         res, report, hint = self._run(
-            "migration_tour", faults_seed_base, 100, transport,
-            num_nodes=4, n=3,
+            "migration_tour", faults_seed_base, 100, num_nodes=4, n=3,
         )
         assert res.summary["visits"] == 3, hint
         p = report["packets"]
@@ -200,13 +196,12 @@ class TestFaultFuzzMp:
             hint  # chaos actually bit — the audit wasn't vacuous
         )
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_fibonacci_chaos(self, faults_seed_base, transport):
+    def test_fibonacci_chaos(self, faults_seed_base):
         from repro.apps.fibonacci import fib_value
 
         res, report, hint = self._run(
             "fibonacci_loadbalance", faults_seed_base + 7919, 300,
-            transport, num_nodes=4, n=10,
+            num_nodes=4, n=10,
         )
         assert res.summary["value"] == fib_value(10), hint
         p = report["packets"]
@@ -217,9 +212,9 @@ class TestFaultFuzzMp:
 class TestFaultFuzzAsyncio:
     """The same chaos against the socket cluster.  Loss is injected in
     each worker's wire path exactly as on mp; the difference under test
-    is the repair layer — on this backend the reliable sublayer is
-    always attached, so the induced drops/dups/delays must heal over
-    real TCP/UNIX streams and the merged audit must still balance."""
+    is the link — the reliable sublayer the fault plan attaches must
+    heal the induced drops/dups/delays over real TCP/UNIX streams, and
+    the merged audit must still balance."""
 
     def _run(self, scenario, faults_seed, seed, transport, **kw):
         from repro.config import NetParams

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from repro.config import NetworkParams
 from repro.sim.engine import SimNode, Simulator
 from repro.sim.network import Network
-from repro.sim.stats import StatsRegistry
-from repro.sim.topology import HypercubeTopology
+from repro.stats import StatsRegistry
+from repro.topology import HypercubeTopology
 
 
 def make_net(n=4, **over):

@@ -14,14 +14,14 @@ import pytest
 
 from repro import HalRuntime, RuntimeConfig
 from repro.apps.scenarios import run_scenario
-from repro.sim.stats import Histogram, StatsRegistry
-from repro.sim.timeline import chrome_trace, spans_jsonl
-from repro.sim.trace import (
+from repro.stats import Histogram, StatsRegistry
+from repro.timeline import chrome_trace, spans_jsonl
+from repro.tracectx import TraceCtx
+from repro.tracing import (
     NullSpanRecorder,
     NullTraceLog,
     Span,
     SpanRecorder,
-    TraceCtx,
     TraceLog,
 )
 from tests.conftest import EchoServer, Hopper, make_runtime

@@ -538,98 +538,53 @@ class TestMpSocketTransport:
             rt.close()
 
 
-class TestMpShmTransport:
-    """The same mp semantics over shared-memory SPSC rings: no kernel
-    copy, readiness by head/tail compare, spin-then-Condition parking."""
+class TestMpParams:
+    """The mp backend has one transport; the old names are handled."""
 
-    def _runtime(self, n=2, **mp_kw):
+    def test_pipe_is_a_deprecated_alias_of_socket(self):
         from repro.config import MpParams
 
-        return _mp_runtime(n, mp=MpParams(transport="shm", **mp_kw))
+        with pytest.warns(DeprecationWarning, match="socket"):
+            params = MpParams(transport="pipe")
+        assert params.transport == "socket"
+        assert MpParams().transport == "socket"
 
-    def test_spawn_send_call_quiesce(self):
-        rt = self._runtime(3)
-        try:
-            a = rt.spawn(_Holder, at=0)
-            b = rt.spawn(_Holder, at=2)
-            rt.send(b, "take", 7)
-            rt.run()
-            assert rt.call(a, "poke") == 1
-            assert rt.call(b, "poke") == 2
-            assert rt.quiescent()
-        finally:
-            rt.close()
-
-    def test_tiny_ring_forces_chunked_frames(self):
-        """A 64-byte ring is far smaller than a single frame: every
-        frame must cross in several write_some chunks with the decoder
-        reassembling, and full-ring backpressure (writer_wait parking)
-        is exercised on every send."""
-        rt = self._runtime(2, ring_bytes=64)
-        try:
-            a = rt.spawn(_Holder, at=0)
-            b = rt.spawn(_Holder, at=1)
-            for _ in range(20):
-                rt.send(b, "take", a)
-            rt.run()
-            assert rt.call(b, "poke") == 21
-            assert rt.quiescent()
-        finally:
-            rt.close()
-
-    def test_non_picklable_payload_still_hard_error(self):
-        rt = self._runtime(2)
-        try:
-            a = rt.spawn(_Poison, at=0)
-            b = rt.spawn(_Holder, at=1)
-            rt.send(a, "set_peer", b)
-            rt.run()
-            rt.send(a, "boom")
-            with pytest.raises(ReproError, match="non-picklable"):
-                rt.run()
-        finally:
-            rt.close()
-
-    def test_arena_unlinked_on_shutdown(self):
-        """The driver owns the segment: shutdown must close and unlink
-        it (a leaked segment would survive in /dev/shm)."""
-        from multiprocessing import shared_memory
-
-        rt = self._runtime(2)
-        a = rt.spawn(_Holder, at=0)
-        rt.run()
-        name = rt.machine._arena.name
-        rt.close()
-        assert rt.machine._arena is None
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_faults_over_shm(self):
-        """Fault injection composes with the shm transport: drops are
-        retransmitted across the rings and the audit stays green."""
+    def test_shm_is_rejected_naming_socket(self):
         from repro.config import MpParams
+
+        with pytest.raises(ValueError, match="'socket'"):
+            MpParams(transport="shm")
+
+
+class TestNodeFailure:
+    """A dead worker surfaces as a typed error naming the node and the
+    signal, within bounded time, on both process backends."""
+
+    @pytest.mark.parametrize("backend", ["mp", "asyncio"])
+    def test_sigkilled_worker_raises_node_failure(self, backend):
+        import signal
+        import time
+
+        from repro.errors import NodeFailure
         from repro.runtime.system import HalRuntime
-        from repro.sim.faults import FaultPlan, FaultRule
-        from repro.sim.invariants import check_invariants
 
-        plan = FaultPlan(by_kind={"deliver_keyed": FaultRule(drop_count=1)})
-        rt = HalRuntime(
-            RuntimeConfig(
-                num_nodes=2, backend="mp", seed=7,
-                mp=MpParams(transport="shm"),
-            ),
-            faults=plan,
-        )
+        rt = HalRuntime(RuntimeConfig(num_nodes=3, backend=backend))
         try:
-            a = rt.spawn(_Relay, at=0)
-            b = rt.spawn(_Holder, at=1)
-            rt.send(a, "set_peer", b)
+            rt.spawn(_Holder, at=1)
             rt.run()
-            rt.send(a, "fan", 8)
-            rt.run()
-            assert rt.call(b, "poke") == 9
-            report = check_invariants(rt)
-            assert report["packets"]["dropped"] == 1
+            os.kill(rt.machine._procs[1].pid, signal.SIGKILL)
+            start = time.monotonic()
+            with pytest.raises(NodeFailure) as info:
+                rt.run()
+            assert time.monotonic() - start < 2.0
+            assert info.value.node == 1
+            assert info.value.exitcode == -signal.SIGKILL
+            assert "node 1" in str(info.value)
+            assert "SIGKILL" in str(info.value)
+            start = time.monotonic()
+            rt.close()  # the survivors are stopped and joined
+            assert time.monotonic() - start < 5.0
+            assert not any(p.is_alive() for p in rt.machine._procs)
         finally:
             rt.close()
 
@@ -639,7 +594,13 @@ class TestMpBatchingQuiescence:
     not frames.  With thresholds far above the workload every frame
     carries many messages; if the ring counted frames the totals could
     balance to zero while messages were still in flight (false
-    quiescence) or never balance at all (hang)."""
+    quiescence) or never balance at all (hang).
+
+    The 60 messages come from one handler (``_Relay.fan``), so they
+    share one outbound batch whatever the process timing: 60
+    synchronous driver commands would coalesce only as fast as the
+    driver issues them, and detection-token frames could then outnumber
+    the saving."""
 
     def test_quiescence_counts_messages_not_frames(self):
         from repro.config import MpParams
@@ -648,10 +609,11 @@ class TestMpBatchingQuiescence:
             2, mp=MpParams(batch_bytes=1 << 20, batch_max_msgs=100_000)
         )
         try:
-            a = rt.spawn(_Holder, at=0)
+            a = rt.spawn(_Relay, at=0)
             b = rt.spawn(_Holder, at=1)
-            for _ in range(60):
-                rt.send(b, "take", a)
+            rt.send(a, "set_peer", b)
+            rt.run()
+            rt.send(a, "fan", 60)
             rt.run()
             assert rt.call(b, "poke") == 61
             assert rt.quiescent()

@@ -5,10 +5,10 @@ from __future__ import annotations
 import random
 
 from repro.config import RuntimeConfig
-from repro.sim.machine import Machine
-from repro.sim.rng import RngStreams
-from repro.sim.stats import StatsRegistry, TimerStat
-from repro.sim.trace import TraceLog
+from repro.platform.simbackend import SimMachine as Machine
+from repro.rng import RngStreams
+from repro.stats import StatsRegistry, TimerStat
+from repro.tracing import TraceLog
 
 
 class TestRngStreams:

@@ -50,7 +50,6 @@ FORBIDDEN_PREFIXES = (
     "repro.platform.mp",
     "repro.platform.asyncio_net",
     "repro.platform.wireformat",
-    "repro.platform.shmring",
 )
 
 
