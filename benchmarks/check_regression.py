@@ -40,10 +40,10 @@ DEFAULT_BASELINE = os.path.join(_REPO_ROOT, "BENCH_engine.json")
 #: events/sec, far outside the threshold's noise allowance; the
 #: sampled-tracing traffic run catches the span hot path regrowing.
 #:
-#: ``backend_asyncio`` is recorded in the baseline but deliberately
-#: NOT gated yet: its wall-clock depends on loopback TCP scheduling
-#: and mesh bring-up — gate it once a few nightlies establish the
-#: noise band.  ``src_loc`` is recorded, never gated.
+#: ``backend_asyncio`` (the mp backend over loopback TCP) is recorded
+#: in the baseline but deliberately NOT gated yet: its wall-clock
+#: depends on loopback TCP scheduling and mesh bring-up — gate it once
+#: a few nightlies establish the noise band.  ``src_loc`` is recorded, never gated.
 GATED = ("pingpong", "fanout", "backend_threaded", "backend_mp",
          "tracing")
 

@@ -19,6 +19,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.config import BACKEND_ALIASES, BACKENDS
 from repro.reporting import fmt_ms, fmt_s, fmt_us, render_hists, render_table
 
 
@@ -167,8 +168,8 @@ def _mp_params(args):
 
 
 def _net_params(args):
-    """NetParams from the asyncio socket-mesh flags (None = config
-    defaults: ephemeral TCP on 127.0.0.1)."""
+    """NetParams from the mp socket-mesh flags (None = config
+    defaults: UNIX-domain listeners in a private temp directory)."""
     transport = getattr(args, "net_transport", None)
     host = getattr(args, "net_host", None)
     port_base = getattr(args, "net_port_base", None)
@@ -226,7 +227,7 @@ def _cmd_run(args) -> None:
             f"backend={rt.config.backend})",
             ["", "value"], rows,
             note="elapsed_us is simulated time on backend=sim, "
-                 "wall-clock time on backend=threaded/mp/asyncio",
+                 "wall-clock time on backend=threaded/mp",
         ))
     finally:
         rt.close()
@@ -418,8 +419,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     def add_mp_flags(p):
         p.add_argument("--mp-transport", choices=("socket", "pipe"),
                        default=None,
-                       help="mp interconnect: full-mesh UNIX-domain "
-                            "socketpairs, the only one ('pipe' is a "
+                       help="mp interconnect: a full mesh of stream "
+                            "sockets, the only one ('pipe' is a "
                             "deprecated alias of 'socket')")
         p.add_argument("--mp-batch-bytes", type=int, default=None,
                        help="mp: flush a destination's frame at this many "
@@ -431,25 +432,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     def add_net_flags(p):
         p.add_argument("--net-transport", choices=("tcp", "unix"),
                        default=None,
-                       help="asyncio socket mesh: real TCP listeners "
-                            "(default) or single-host UNIX-domain sockets")
+                       help="mp socket mesh: single-host UNIX-domain "
+                            "listeners (default) or real TCP listeners")
         p.add_argument("--net-host", default=None,
-                       help="asyncio tcp: interface the per-node listeners "
+                       help="mp tcp: interface the per-node listeners "
                             "bind (default 127.0.0.1)")
         p.add_argument("--net-port-base", type=int, default=None,
-                       help="asyncio tcp: node i listens on port_base+i "
+                       help="mp tcp: node i listens on port_base+i "
                             "(default 0 = ephemeral ports, addresses "
                             "distributed by the driver)")
 
     p.add_argument("app", help="scenario name")
-    p.add_argument("--backend", choices=("sim", "threaded", "mp", "asyncio"),
+    p.add_argument("--backend", choices=(*BACKENDS, *BACKEND_ALIASES),
                    default="sim",
                    help="sim: deterministic discrete-event simulator; "
                         "threaded: real-time, one OS thread per node; "
                         "mp: one OS process per node, batched binary "
-                        "frames, token-ring quiescence; asyncio: the same "
-                        "worker processes over a TCP/UNIX listener mesh "
-                        "meshed by address at bring-up")
+                        "frames over a socket mesh built by address at "
+                        "bring-up, token-ring quiescence; asyncio: "
+                        "deprecated, means mp with --net-transport tcp")
     add_mp_flags(p)
     add_net_flags(p)
     p.add_argument("--nodes", type=int, default=None, help="partition size")
@@ -524,10 +525,10 @@ def main(argv: Optional[List[str]] = None) -> int:
              "audit the run's invariants (exit 1 on violation)",
     )
     p.add_argument("app", help="scenario name")
-    p.add_argument("--backend", choices=("sim", "mp", "asyncio"),
+    p.add_argument("--backend", choices=("sim", "mp", *BACKEND_ALIASES),
                    default="sim",
-                   help="backend to inject on: sim (fully deterministic), "
-                        "mp or asyncio (per-(seed, node) deterministic "
+                   help="backend to inject on: sim (fully deterministic) "
+                        "or mp (per-(seed, node) deterministic "
                         "draw streams; audit runs on merged exact "
                         "counters)")
     add_mp_flags(p)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Literal, Optional
+from typing import Dict, Literal, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -101,18 +101,18 @@ class LoadBalanceParams:
 
 @dataclass(frozen=True)
 class MpParams:
-    """Wire-path knobs for the mp backend (the asyncio backend's worker
-    loop, which is the same, reads the batch thresholds too).
+    """Wire-path knobs for the mp backend.
 
     Outbound packets are coalesced per destination into binary frames
     (see :mod:`repro.platform.wireformat`): a destination's batch is
     flushed when it reaches ``batch_bytes`` or ``batch_max_msgs``, and
     unconditionally at the end of every worker wakeup (so a message
     never waits on an idle node for company).  The interconnect is a
-    full mesh of UNIX-domain stream sockets driven with ``sendall``
-    writes and bulk reads — one ``recv`` can pull in many frames.
-    ``transport`` has that one value, ``"socket"``; ``"pipe"`` is still
-    accepted for one release as a deprecated alias of it.
+    full mesh of stream sockets (:class:`NetParams` says where they
+    listen) driven with ``sendall`` writes and bulk reads — one
+    ``recv`` can pull in many frames.  ``transport`` has one value,
+    ``"socket"``; ``"pipe"`` is still accepted for one release as a
+    deprecated alias of it.
     """
 
     #: Interconnect between worker processes.
@@ -143,26 +143,24 @@ class MpParams:
 
 @dataclass(frozen=True)
 class NetParams:
-    """Socket-mesh knobs for the asyncio network backend.
+    """Deployment settings of the mp backend's socket mesh.
 
-    Each node is a process reachable over a real socket: ``"tcp"``
+    Each node is a process reachable at an address: ``"unix"`` (the
+    default) binds per-node UNIX-domain socket paths under a private
+    temp directory (single host, no port management), ``"tcp"``
     listens on ``(host, port_base + node_id)`` per node (``port_base
     = 0`` lets the OS pick an ephemeral port for each listener — the
-    right default for tests, where fixed ports collide), ``"unix"``
-    uses per-node UNIX-domain socket paths under a private temp
-    directory (single-host only, no port management).  Workers
+    right default for tests, where fixed ports collide).  Workers
     bootstrap into a full mesh through the driver: every worker
     reports its bound address, the driver broadcasts the address map,
     and each worker dials its lower-numbered peers (redialling for up
-    to ``connect_timeout_s`` while listeners come up).  Frames on the
-    wire are the same :mod:`repro.platform.wireformat` batches the mp
-    backend ships, served by the same worker loop.  A connected stream
-    loses nothing, so, as on mp, the reliable-AM sublayer attaches only
+    to ``connect_timeout_s`` while listeners come up).  A connected
+    stream loses nothing, so the reliable-AM sublayer attaches only
     when a fault plan is installed.
     """
 
-    #: Socket family: real TCP or single-host UNIX-domain sockets.
-    transport: Literal["tcp", "unix"] = "tcp"
+    #: Socket family: single-host UNIX-domain sockets or real TCP.
+    transport: Literal["tcp", "unix"] = "unix"
     #: Interface/host the per-node listeners bind ("tcp" only).
     host: str = "127.0.0.1"
     #: First listener port; node *i* binds ``port_base + i``.  0 means
@@ -263,6 +261,15 @@ class ReliabilityParams:
             raise ValueError("retry caps must be >= 0")
 
 
+#: Execution backends (see :mod:`repro.platform`).
+BACKENDS = ("sim", "threaded", "mp")
+
+#: Deprecated backend names, accepted for one release by
+#: ``RuntimeConfig``, ``make_machine`` and the CLI: each maps to the
+#: ``(backend, net.transport)`` it now selects.
+BACKEND_ALIASES: Dict[str, Tuple[str, str]] = {"asyncio": ("mp", "tcp")}
+
+
 @dataclass(frozen=True)
 class RuntimeConfig:
     """Top-level configuration for a HAL runtime instance."""
@@ -273,12 +280,11 @@ class RuntimeConfig:
     #: simulator (fault injection, timing tables); ``threaded`` runs
     #: each node on an OS thread in real time (convergence semantics,
     #: no determinism); ``mp`` runs each node in its own OS process
-    #: (batched wire frames over a socketpair mesh, token-ring
-    #: quiescence, no GIL sharing); ``asyncio`` runs the same worker
-    #: processes over a TCP/UNIX listener mesh meshed by address at
-    #: bring-up (the name is historical: no asyncio loop runs).  See
-    #: :mod:`repro.platform`.
-    backend: Literal["sim", "threaded", "mp", "asyncio"] = "sim"
+    #: (batched wire frames over a socket mesh built by address at
+    #: bring-up, token-ring quiescence, no GIL sharing).  A name in
+    #: :data:`BACKEND_ALIASES` is accepted with a DeprecationWarning
+    #: and resolved.  See :mod:`repro.platform`.
+    backend: Literal["sim", "threaded", "mp"] = "sim"
     #: Interconnect topology: CM-5 fat-tree or binary hypercube.
     topology: Literal["fattree", "hypercube"] = "fattree"
     #: Seed for all deterministic random substreams.
@@ -299,7 +305,7 @@ class RuntimeConfig:
     reliability: ReliabilityParams = field(default_factory=ReliabilityParams)
     #: Wire-path knobs for the mp backend (ignored elsewhere).
     mp: MpParams = field(default_factory=MpParams)
-    #: Socket-mesh knobs for the asyncio backend (ignored elsewhere).
+    #: Where the mp backend's mesh listens (ignored elsewhere).
     net: NetParams = field(default_factory=NetParams)
     #: Span-recording knobs (head sampling + ring capacity); only
     #: consulted when the machine is built with ``trace=True``.
@@ -315,10 +321,21 @@ class RuntimeConfig:
     def __post_init__(self) -> None:
         if self.num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")
-        if self.backend not in ("sim", "threaded", "mp", "asyncio"):
+        alias = BACKEND_ALIASES.get(self.backend)
+        if alias is not None:
+            backend, transport = alias
+            warnings.warn(
+                f"backend={self.backend!r} is deprecated and means "
+                f"backend={backend!r} with net.transport={transport!r}",
+                DeprecationWarning,
+                stacklevel=3,
+            )
+            object.__setattr__(self, "backend", backend)
+            object.__setattr__(self, "net", replace(self.net, transport=transport))
+        if self.backend not in BACKENDS:
             raise ValueError(
-                f"unknown backend {self.backend!r}; expected 'sim', "
-                "'threaded', 'mp' or 'asyncio'"
+                f"unknown backend {self.backend!r}; expected one of "
+                f"{', '.join(BACKENDS)}"
             )
         if self.bulk_threshold_bytes < 1:
             raise ValueError("bulk_threshold_bytes must be >= 1")

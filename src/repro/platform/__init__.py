@@ -13,19 +13,18 @@ a backend by name (usually from ``RuntimeConfig.backend``):
 
 ``mp``
     Distributed: one OS *process* per node, batched binary frames
-    over a full mesh of UNIX-domain socketpairs, one worker loop,
-    token-ring quiescence detection.  The only backend where the GIL does not serialise
-    node execution; no determinism (fault injection *is* supported,
-    with per-(seed, node) deterministic draw streams), and
-    non-picklable payloads are hard errors.
+    over a full mesh of stream sockets (UNIX-domain by default, TCP
+    with ``net.transport="tcp"``) meshed by address at bring-up, one
+    worker loop, token-ring quiescence detection, and cluster-wide
+    ``(birthplace, descriptor)`` name resolution with FIR-style
+    back-patching on the driver.  The only backend where the GIL does
+    not serialise node execution; no determinism (fault injection
+    *is* supported, with per-(seed, node) deterministic draw streams),
+    and non-picklable payloads are hard errors.
 
-``asyncio``
-    Cluster: the mp backend's worker processes and worker loop, meshed
-    at bring-up by address over TCP (or UNIX) listener sockets that
-    could span hosts, with cluster-wide ``(birthplace, descriptor)``
-    name resolution and FIR-style back-patching on the driver.  The
-    name is historical; no asyncio event loop runs.  As everywhere,
-    the reliable-AM sublayer attaches only under a fault plan.
+``asyncio`` is a deprecated alias, kept for one release, of ``mp``
+with ``net.transport="tcp"`` (see ``BACKEND_ALIASES`` in
+:mod:`repro.config`).
 
 Backend modules are imported lazily so constructing a sim machine
 never pays for ``threading`` machinery and vice versa, and so the
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.config import RuntimeConfig
+from repro.config import BACKEND_ALIASES, BACKENDS, RuntimeConfig
 from repro.errors import ReproError
 from repro.platform.base import (
     Clock,
@@ -45,10 +44,6 @@ from repro.platform.base import (
     TimerHandle,
     Transport,
 )
-
-#: Names accepted by :func:`make_machine` / ``RuntimeConfig.backend``.
-BACKENDS = ("sim", "threaded", "mp", "asyncio")
-
 
 def make_machine(
     config: RuntimeConfig,
@@ -64,6 +59,9 @@ def make_machine(
     a backend without fault support raises :class:`ReproError`.
     """
     name = backend if backend is not None else getattr(config, "backend", "sim")
+    if name in BACKEND_ALIASES:
+        config = config.with_(backend=name)  # warns, resolves the alias
+        name = config.backend
     if name == "sim":
         from repro.platform.simbackend import SimMachine
 
@@ -76,10 +74,6 @@ def make_machine(
         from repro.platform.mp import MpMachine
 
         return MpMachine(config, trace=trace, faults=faults)
-    if name == "asyncio":
-        from repro.platform.asyncio_net import AsyncioMachine
-
-        return AsyncioMachine(config, trace=trace, faults=faults)
     raise ReproError(
         f"unknown backend {name!r}; expected one of {', '.join(BACKENDS)}"
     )

@@ -39,20 +39,20 @@ machine.  The single source of truth is the declarative table in
 :mod:`repro.platform.capabilities` (tests pin the class flags, the
 rejection messages and the README matrix against it):
 
-========================  ===========  ============  ====  =========
-capability                sim          threaded      mp    asyncio
-========================  ===========  ============  ====  =========
-``deterministic``         yes          no            no    no
-``supports_faults``       yes          no            yes   yes
-``supports_tracing``      yes          yes           no    no
-``distributed``           no           no            yes   yes
-========================  ===========  ============  ====  =========
+========================  ===========  ============  ====
+capability                sim          threaded      mp
+========================  ===========  ============  ====
+``deterministic``         yes          no            no
+``supports_faults``       yes          no            yes
+``supports_tracing``      yes          yes           no
+``distributed``           no           no            yes
+========================  ===========  ============  ====
 
 A *distributed* machine runs each node in its own OS process: nothing
 is shared, every message crosses an operating-system boundary as a
 :class:`WirePacket` — batched per destination into compact binary
 frames (:mod:`repro.platform.wireformat`) over a byte-stream socket
-mesh (socketpairs on mp, TCP/UNIX listener connections on asyncio) —
+mesh (UNIX-domain or TCP connections, meshed by address at bring-up) —
 and quiescence is detected by a token-ring protocol rather than
 shared counters.  The runtime facade
 consults the flag to route driver operations as commands instead of

@@ -32,9 +32,8 @@ FEATURES: Dict[str, str] = {
 }
 
 #: backend name -> capability flags.  Must match the machine classes'
-#: class attributes exactly (SimMachine / ThreadedMachine / MpMachine /
-#: AsyncioMachine); ``tests/test_capabilities.py`` fails the build on
-#: any divergence.
+#: class attributes exactly (SimMachine / ThreadedMachine / MpMachine);
+#: ``tests/test_capabilities.py`` fails the build on any divergence.
 CAPABILITIES: Dict[str, Dict[str, bool]] = {
     "sim": {
         "deterministic": True,
@@ -49,12 +48,6 @@ CAPABILITIES: Dict[str, Dict[str, bool]] = {
         "distributed": False,
     },
     "mp": {
-        "deterministic": False,
-        "supports_faults": True,
-        "supports_tracing": False,
-        "distributed": True,
-    },
-    "asyncio": {
         "deterministic": False,
         "supports_faults": True,
         "supports_tracing": False,

@@ -4,11 +4,34 @@ This is the first backend where the GIL no longer serialises node
 execution: every node runs a full runtime kernel inside its own
 worker process, active messages cross between nodes as **batched
 binary frames** (:mod:`repro.platform.wireformat`) over a full mesh
-of UNIX-domain stream socketpairs, and the driver process holds no
-kernel state at all —
-driver operations (load, spawn, send, call, grpnew, broadcast) travel
-to the owning worker as synchronously-acknowledged commands on a
-per-node control pipe.
+of stream sockets, and the driver process holds no kernel state at
+all — driver operations (load, spawn, send, call, grpnew, broadcast)
+travel to the owning worker as synchronously-acknowledged commands on
+a per-node control pipe.
+
+**Bring-up is address-based**, so a node is a process reachable at an
+address, the shape a multicomputer partition has, not a child holding
+inherited descriptors:
+
+1. every worker binds a listener — a UNIX-domain path under a private
+   temp directory (``config.net.transport = "unix"``, the default,
+   single host) or a TCP port (``"tcp"``; ephemeral when
+   ``net.port_base == 0``) — and reports ``("listening", node, addr)``
+   on its control pipe;
+2. the driver collects every address and broadcasts the map;
+3. each worker dials its **lower-numbered** peers (one connection per
+   pair), redialling for up to ``net.connect_timeout_s`` while
+   listeners come up, and names itself with a 4-byte hello; it accepts
+   hellos only from higher-numbered nodes it has not meshed yet;
+4. holding all ``P - 1`` sockets, it reports ``("meshed", node)`` and
+   enters the worker loop.
+
+Both sides are deadline-guarded: a wedged boot raises
+:class:`~repro.errors.NetworkError` naming the stage and every node
+still missing, and a worker that dies during bring-up raises
+:class:`~repro.errors.NodeFailure`.  TCP mesh sockets set
+``TCP_NODELAY``: frames are already batched, so Nagle's algorithm
+would only hold back the small ones (tokens, replies).
 
 The wire path is built for throughput, not per-packet convenience:
 
@@ -22,12 +45,10 @@ The wire path is built for throughput, not per-packet convenience:
   interned handler-name id) plus a payload pickle of the args only,
   with a one-slot identity cache so a broadcast fan-out serialises its
   payload once per batch rather than once per destination;
-- **one byte-stream link** — each peer pair shares one socket
-  (``sendall`` writes, bulk ``recv`` reads that can pull many frames
-  per syscall; the decoder reassembles split frames), and one worker
-  loop blocks on the control pipe and every peer socket at once.  The
-  asyncio backend hands the same loop TCP or UNIX sockets it dialled
-  at runtime instead of inherited socketpairs.
+- **one byte-stream link** — each peer pair shares one connected
+  socket (``sendall`` writes, bulk ``recv`` reads that can pull many
+  frames per syscall; the decoder reassembles split frames), and one
+  worker loop blocks on the control pipe and every peer socket at once.
 
 A peer that closes its socket ends the worker: no stream is ever
 reconnected, so the driver reports the dead node as a
@@ -74,6 +95,13 @@ the reliable AM sublayer and protocol watchdogs exactly as on sim, so
 ``check_invariants`` can audit packet conservation against the
 injected-fault budget on merged (exact, per-process) counters.
 
+**Naming stays topology-independent.**  A mail address is
+``(birthplace, descriptor)`` and never encodes a socket address;
+:meth:`MpMachine.locate` resolves one the way a kernel would — ask the
+birthplace's name-table shard, follow forwarding guesses, back-patch
+the driver's cache (the FIR chase of §4.3, run from outside the
+partition).
+
 A payload that does not pickle is a **hard error**
 (:class:`~repro.errors.NetworkError` on the sending worker, surfaced
 to the driver), where the in-process backends would happily share the
@@ -85,8 +113,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import multiprocessing
+import os
 import pickle
+import shutil
 import socket
+import struct
+import tempfile
 import time
 import traceback
 from multiprocessing.connection import wait as conn_wait
@@ -117,6 +149,17 @@ _DRAIN_CAP = 64
 #: small power-of-two batch keeps both latency and syscalls low.
 _BURST_MASK = 0x07
 
+#: Mesh hello: the dialler's node id, sent before any frame.
+_HELLO = struct.Struct("!I")
+
+#: Slack on top of ``net.connect_timeout_s`` for the whole bring-up
+#: conversation (P listeners + P·(P-1)/2 dials + reports).
+_BOOT_GRACE_S = 30.0
+
+#: Pause between redials of a peer whose listener is not up yet.
+_REDIAL_S = 0.02
+
+
 def _pickling_errors():
     return (TypeError, AttributeError, pickle.PicklingError)
 
@@ -132,9 +175,8 @@ def _fork_context():
 # peer channel: one byte-stream socket per (worker, peer) pair
 # ======================================================================
 class _SocketChannel:
-    """Peer link over a blocking byte-stream socket: one end of a
-    UNIX-domain socketpair (mp) or of a dialled TCP/UNIX connection
-    (asyncio).
+    """Peer link over one end of a connected, blocking byte-stream
+    socket (UNIX-domain or TCP; see :func:`_mesh`).
 
     There is no message boundary: one ``recv`` may return half a frame
     or a dozen frames, and the decoder's reassembly buffer absorbs the
@@ -167,6 +209,146 @@ class _SocketChannel:
             feed(data)
             if len(data) < self._CHUNK:
                 return
+
+
+# ======================================================================
+# mesh bring-up (worker side)
+# ======================================================================
+def _listen(node_id: int, config: RuntimeConfig, unix_dir: Optional[str]):
+    """Bind this node's listener; returns ``(socket, address)``."""
+    net = config.net
+    backlog = config.num_nodes
+    if net.transport == "unix":
+        path = os.path.join(unix_dir, f"node-{node_id}.sock")
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.bind(path)
+        sock.listen(backlog)
+        return sock, ("unix", path)
+    port = net.port_base + node_id if net.port_base else 0
+    family = socket.getaddrinfo(net.host, port, type=socket.SOCK_STREAM)[0][0]
+    sock = socket.create_server((net.host, port), family=family, backlog=backlog)
+    host, port = sock.getsockname()[:2]
+    return sock, ("tcp", host, port)
+
+
+def _ready(sock: socket.socket, transport: str) -> socket.socket:
+    """Put a connected mesh socket in its serving mode."""
+    sock.settimeout(None)
+    if transport == "tcp":
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def _connect(addr: tuple, timeout_s: float) -> socket.socket:
+    if addr[0] == "tcp":
+        return socket.create_connection(addr[1:], timeout=timeout_s)
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(timeout_s)
+    try:
+        sock.connect(addr[1])
+    except OSError:
+        sock.close()
+        raise
+    return sock
+
+
+def _dial(node_id: int, peer_id: int, addr: tuple, timeout_s: float):
+    """Connect to ``peer_id``'s listener, redialling until it is up or
+    ``timeout_s`` passes."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        try:
+            return _connect(addr, max(deadline - time.monotonic(), 0.001))
+        except OSError:
+            if time.monotonic() >= deadline:
+                raise NetworkError(
+                    f"node {node_id}: could not reach peer {peer_id} at "
+                    f"{addr!r} within {timeout_s}s"
+                ) from None
+            time.sleep(_REDIAL_S)
+
+
+def _recv_exact(sock: socket.socket, n: int) -> bytes:
+    buf = b""
+    while len(buf) < n:
+        chunk = sock.recv(n - len(buf))
+        if not chunk:
+            raise EOFError("mesh peer closed during hello")
+        buf += chunk
+    return buf
+
+
+def _mesh(
+    node_id: int,
+    config: RuntimeConfig,
+    ctrl,
+    unix_dir: Optional[str] = None,
+) -> Dict[int, socket.socket]:
+    """Run this worker's side of mesh bring-up over ``ctrl`` and return
+    ``{peer_id: connected socket}`` for every other node."""
+    nn = config.num_nodes
+    net = config.net
+    deadline = time.monotonic() + net.connect_timeout_s + _BOOT_GRACE_S
+
+    def timed_out(expect: str) -> NetworkError:
+        return NetworkError(
+            f"node {node_id}: timed out waiting for {expect} during mesh "
+            "bring-up"
+        )
+
+    def remaining(expect: str) -> float:
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise timed_out(expect)
+        return left
+
+    listener, addr = _listen(node_id, config, unix_dir)
+    peers: Dict[int, socket.socket] = {}
+    try:
+        ctrl.send(("listening", node_id, addr))
+        if not ctrl.poll(remaining("the address map")):
+            raise timed_out("the address map")
+        msg = ctrl.recv()
+        if msg[0] != "peers":
+            raise NetworkError(
+                f"node {node_id}: expected address map, got {msg[0]!r}"
+            )
+        addrs: Dict[int, tuple] = msg[1]
+        for peer_id in range(node_id):
+            sock = _dial(node_id, peer_id, addrs[peer_id], net.connect_timeout_s)
+            peers[peer_id] = _ready(sock, net.transport)
+            sock.sendall(_HELLO.pack(node_id))
+        while len(peers) < nn - 1:
+            stage = f"peers ({len(peers)}/{nn - 1} meshed)"
+            listener.settimeout(remaining(stage))
+            try:
+                sock, _ = listener.accept()
+            except socket.timeout:
+                continue  # the next remaining() call names the stall
+            try:
+                sock.settimeout(remaining("a peer hello"))
+                (peer_id,) = _HELLO.unpack(_recv_exact(sock, _HELLO.size))
+                # Any local process can dial the listener: only a node
+                # that dials up (a higher id) and is not yet meshed may
+                # take a peer slot.
+                if not node_id < peer_id < nn or peer_id in peers:
+                    raise NetworkError(
+                        f"node {node_id}: rejected a mesh hello claiming "
+                        f"node {peer_id} (expected an unmeshed node in "
+                        f"{node_id + 1}..{nn - 1})"
+                    )
+            except BaseException:
+                sock.close()
+                raise
+            peers[peer_id] = _ready(sock, net.transport)
+    except BaseException:
+        for sock in peers.values():
+            sock.close()
+        raise
+    finally:
+        listener.close()
+    ctrl.send(("meshed", node_id))
+    return peers
 
 
 # ======================================================================
@@ -788,7 +970,7 @@ class _WorkerHost:
 
     def _resolve(self, address) -> tuple:
         """One hop of the driver's FIR-style name chase
-        (:meth:`repro.platform.asyncio_net.AsyncioMachine.locate`):
+        (:meth:`MpMachine.locate`):
         this node's current belief about ``address``, read straight
         from the name table — ``("local", node)``, ``("forward",
         best_guess)`` or ``("unknown",)``.  A pure read: it never
@@ -964,12 +1146,13 @@ def _worker_main(
     config: RuntimeConfig,
     costs,
     ctrl,
-    peers: Dict[int, socket.socket],
+    unix_dir: Optional[str] = None,
     fault_plan=None,
 ) -> None:
     """Process entry point (module-level so a spawn start method can
-    pickle it; the fork path just inherits everything)."""
+    pickle it): mesh, then serve on the worker loop."""
     try:
+        peers = _mesh(node_id, config, ctrl, unix_dir)
         _WorkerHost(node_id, config, costs, ctrl, peers, fault_plan)._loop_wait()
     except BaseException:  # noqa: BLE001 - last-resort report to driver
         _report_error(ctrl, node_id)
@@ -1169,6 +1352,8 @@ class MpMachine:
         self._actors = 0
         self._worker_error: Optional[str] = None
         self._shut = False
+        #: Private directory of the UNIX-domain listeners, if any.
+        self._unix_dir: Optional[str] = None
         #: Set once a worker is found dead; every later control-plane
         #: call re-raises it instead of touching the broken pipes.
         self._failure: Optional[NodeFailure] = None
@@ -1177,32 +1362,78 @@ class MpMachine:
     # boot / teardown
     # ------------------------------------------------------------------
     def start_workers(self, costs) -> None:
-        """Spawn one worker process per node, wired with a control
-        pipe each and a full mesh of UNIX-domain socketpairs."""
+        """Spawn one worker process per node with a control pipe each,
+        then run the mesh bring-up: collect every worker's listener
+        address, broadcast the map, wait until every worker is meshed.
+        A failed bring-up stops every worker before it raises."""
         if self._procs:
             return
         ctx = _fork_context()
-        nn = self.config.num_nodes
-        peer_ends: List[Dict[int, socket.socket]] = [dict() for _ in range(nn)]
-        for i in range(nn):
-            for j in range(i + 1, nn):
-                peer_ends[i][j], peer_ends[j][i] = socket.socketpair()
-        for i in range(nn):
+        if self.config.net.transport == "unix":
+            self._unix_dir = tempfile.mkdtemp(prefix="repro-mesh-")
+        for i in range(self.config.num_nodes):
             parent, child = ctx.Pipe(duplex=True)
             self._ctrl.append(parent)
             proc = ctx.Process(
                 target=_worker_main,
-                args=(i, self.config, costs, child, peer_ends[i], self.fault_plan),
+                args=(i, self.config, costs, child, self._unix_dir,
+                      self.fault_plan),
                 name=f"repro-mp-node-{i}",
                 daemon=True,
             )
             proc.start()
+            # Only the worker may hold its end: a dead worker must
+            # read as EOF on the driver's end, not as silence.
+            child.close()
             self._procs.append(proc)
-        # The driver holds no end of the data network: drop our copies
-        # so a dead worker surfaces as EOF on its peers, not a hang.
-        for ends in peer_ends:
-            for end in ends.values():
-                end.close()
+        deadline = (
+            time.monotonic() + self.config.net.connect_timeout_s + _BOOT_GRACE_S
+        )
+        try:
+            listening = self._boot_stage("listening", deadline)
+            addrs = {node: msg[2] for node, msg in listening.items()}
+            node = 0
+            try:
+                for node, conn in enumerate(self._ctrl):
+                    conn.send(("peers", addrs))
+            except OSError as exc:
+                raise self._node_failure(node, exc) from exc
+            self._boot_stage("meshed", deadline)
+        except BaseException:
+            for proc in self._procs:
+                proc.terminate()
+            self.shutdown()
+            raise
+
+    def _boot_stage(self, expect: str, deadline: float) -> Dict[int, tuple]:
+        """Collect one ``expect`` report from every worker.  A worker's
+        error surfaces as itself, a dead worker as :class:`NodeFailure`,
+        and a missed deadline as :class:`NetworkError` naming the stage
+        and every node that has not reported."""
+        got: Dict[int, tuple] = {}
+        nn = len(self._ctrl)
+        node = 0
+        while len(got) < nn:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                missing = ", ".join(str(i) for i in range(nn) if i not in got)
+                raise NetworkError(
+                    f"mesh bring-up timed out at stage {expect!r}: "
+                    f"node(s) {missing} never reported"
+                )
+            waiting = [c for i, c in enumerate(self._ctrl) if i not in got]
+            try:
+                for conn in conn_wait(waiting, min(left, 0.25)):
+                    node = self._ctrl.index(conn)
+                    msg = conn.recv()
+                    if msg[0] == expect:
+                        got[node] = msg
+                    else:
+                        self._note_event(msg)
+            except (EOFError, OSError) as exc:
+                raise self._node_failure(node, exc) from exc
+            self._raise_worker_error()
+        return got
 
     def shutdown(self) -> None:
         """Stop and join every worker process.  Idempotent."""
@@ -1222,6 +1453,9 @@ class MpMachine:
                 proc.join(timeout=1.0)
         for conn in self._ctrl:
             conn.close()
+        if self._unix_dir is not None:
+            shutil.rmtree(self._unix_dir, ignore_errors=True)
+            self._unix_dir = None
 
     # ------------------------------------------------------------------
     # control plane
@@ -1490,6 +1724,47 @@ class MpMachine:
         return reports
 
     def locate(self, address) -> Optional[int]:
+        """Resolve a mail address cluster-wide, the way a kernel would.
+
+        Start at the cached last-known host if one exists, else at the
+        **birthplace shard** the address itself encodes
+        (:meth:`MailAddress.home_node`); ask each node's name table in
+        turn, following ``("forward", n)`` guesses — stale guesses form
+        chains, never cycles longer than the migration history, so the
+        chase is bounded — and back-patch the driver cache on success
+        exactly as a FIR reply back-patches a kernel's descriptor.
+        Falls back to a full snapshot merge only when the chase dead-
+        ends (e.g. the address was never bound)."""
+        if not self._procs or self._shut:
+            return self._locations.get(address)
+        nn = self.config.num_nodes
+        home = address.home_node()
+        hint = self._locations.get(address)
+        node = hint if hint is not None else home
+        tried_home = node == home
+        for _ in range(2 * nn + 2):
+            if not (0 <= node < nn):
+                break
+            resp = self.command(node, ("resolve", address))
+            tag = resp[0]
+            if tag == "local":
+                self._locations[address] = node  # back-patch
+                return node
+            if tag == "forward":
+                nxt = resp[1]
+                if nxt == node:  # pragma: no cover - self-loop guard
+                    break
+                node = nxt
+                if node == home:
+                    tried_home = True
+                continue
+            # "unknown" here: a stale cache entry may point at a node
+            # that already forgot the actor — restart once from the
+            # birthplace shard, which learns every creation it issued.
+            if not tried_home:
+                node, tried_home = home, True
+                continue
+            break
         self._refresh()
         return self._locations.get(address)
 

@@ -1,6 +1,8 @@
 """Backend parity: the same scenarios converge to the same final state
-on the discrete-event, the real-time threaded, the multiprocessing,
-and the asyncio socket-cluster backends.
+on the discrete-event, the real-time threaded and the multiprocessing
+backends, with the mp mesh on UNIX-domain sockets (the default) and on
+TCP (what the deprecated ``asyncio`` backend name selects; the tests
+named after it run mp over TCP).
 
 The threaded and mp backends give no ordering or timing guarantees, so
 parity is asserted on *convergent* state only: scenario results
@@ -10,8 +12,9 @@ much stealing happens is scheduling-dependent by design).
 
 Stats parity goes further where the protocols are deterministic: for
 scenarios without load balancing the full final counter sets must
-match exactly across the sim, threaded, mp and asyncio backends (the same messages, FIRs and
-migrations happen, whatever the interleaving); once work stealing is
+match exactly across the sim, threaded and mp backends, on either mesh
+transport (the same messages, FIRs and migrations happen, whatever the
+interleaving); once work stealing is
 on, only the steal-traffic-dependent counters are exempt.
 """
 
@@ -20,6 +23,10 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.scenarios import run_scenario
+from repro.config import NetParams
+
+#: The mp mesh over TCP listeners instead of the default UNIX sockets.
+TCP = NetParams(transport="tcp")
 
 SCENARIO_NAMES = (
     "ping_pong",
@@ -95,13 +102,13 @@ def test_backends_reach_identical_final_state(name):
         mp_res.runtime.close()
 
 
-def _assert_stats_parity(name, backend):
+def _assert_stats_parity(name, backend, **kw):
     """Final StatsRegistry counters agree between the sim and the
     merged registries of a process backend: exactly for sequential
     scenarios, and modulo steal-dependent traffic once load balancing
     is on."""
     sim_res = run_scenario(name, trace=False, backend="sim")
-    net_res = run_scenario(name, trace=False, backend=backend)
+    net_res = run_scenario(name, trace=False, backend=backend, **kw)
     try:
         sim_rt, net_rt = sim_res.runtime, net_res.runtime
         if name in SEQUENTIAL_SCENARIOS:
@@ -122,9 +129,9 @@ def test_stats_parity_sim_vs_mp(name):
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_stats_parity_sim_vs_asyncio(name):
-    """The listener-mesh backend books the same counters as mp: with no
-    fault plan no reliable-AM envelope or ack crosses its sockets."""
-    _assert_stats_parity(name, "asyncio")
+    """mp over TCP books the same counters as over UNIX sockets: with
+    no fault plan no reliable-AM envelope or ack crosses the mesh."""
+    _assert_stats_parity(name, "mp", net=TCP)
 
 
 @pytest.mark.parametrize("name", SEQUENTIAL_SCENARIOS)
@@ -172,10 +179,10 @@ def test_mp_backend_converges_across_seeds(name):
 
 @pytest.mark.parametrize("name", SEQUENTIAL_SCENARIOS)
 def test_asyncio_backend_matches_sim_final_state(name):
-    """The socket-cluster backend reaches the sim's exact final state
-    (summary, actor count, ground-truth locations)."""
+    """mp over TCP reaches the sim's exact final state (summary, actor
+    count, ground-truth locations)."""
     sim_res = run_scenario(name, trace=False, backend="sim")
-    net_res = run_scenario(name, trace=False, backend="asyncio")
+    net_res = run_scenario(name, trace=False, backend="mp", net=TCP)
     try:
         net_state = _final_state(net_res)
         assert _final_state(sim_res) == net_state
@@ -184,17 +191,3 @@ def test_asyncio_backend_matches_sim_final_state(name):
         sim_res.runtime.close()
         net_res.runtime.close()
 
-
-def test_asyncio_unix_transport_matches_sim_final_state():
-    from repro.config import NetParams
-
-    sim_res = run_scenario("migration_tour", trace=False, backend="sim")
-    net_res = run_scenario(
-        "migration_tour", trace=False, backend="asyncio",
-        net=NetParams(transport="unix"),
-    )
-    try:
-        assert _final_state(sim_res) == _final_state(net_res)
-    finally:
-        sim_res.runtime.close()
-        net_res.runtime.close()

@@ -32,10 +32,6 @@ def _machine_class(backend: str):
         from repro.platform.threaded import ThreadedMachine
 
         return ThreadedMachine
-    if backend == "asyncio":
-        from repro.platform.asyncio_net import AsyncioMachine
-
-        return AsyncioMachine
     from repro.platform.mp import MpMachine
 
     return MpMachine

@@ -51,7 +51,7 @@ class TestMakeMachine:
             RuntimeConfig(backend="mpi")
 
     def test_registry_names(self):
-        assert BACKENDS == ("sim", "threaded", "mp", "asyncio")
+        assert BACKENDS == ("sim", "threaded", "mp")
 
 
 class TestProtocolConformance:
@@ -558,8 +558,10 @@ class TestMpParams:
 
 class TestNodeFailure:
     """A dead worker surfaces as a typed error naming the node and the
-    signal, within bounded time, on both process backends."""
+    signal, within bounded time, on the process backend — also under
+    its deprecated ``asyncio`` name (mp over TCP)."""
 
+    @pytest.mark.filterwarnings("ignore:backend='asyncio':DeprecationWarning")
     @pytest.mark.parametrize("backend", ["mp", "asyncio"])
     def test_sigkilled_worker_raises_node_failure(self, backend):
         import signal

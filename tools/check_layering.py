@@ -48,7 +48,6 @@ FORBIDDEN_PREFIXES = (
     "repro.platform.simbackend",
     "repro.platform.threaded",
     "repro.platform.mp",
-    "repro.platform.asyncio_net",
     "repro.platform.wireformat",
 )
 
