@@ -554,12 +554,8 @@ def run_bench(*, quick: bool = False, repeats: int = 3,
             tr_journeys, tr_hops, num_nodes=8,
             repeats=repeats if quick else max(repeats, 5),
         )
-        # Real-time threaded backend on the same fib workload.
-        results["backend_threaded"] = run_fib_app(
-            fib_n, num_nodes=4, backend="threaded"
-        )
-        # Process-per-node backend on the same workload: the only case
-        # where node execution escapes the GIL.  Batched binary frames
+        # Process-per-node backend on the same fib workload: node
+        # execution escapes the GIL.  Batched binary frames
         # over the UNIX-domain socket mesh; regression-gated
         # (generous threshold absorbs host scheduling noise; see GATED
         # in check_regression.py).
@@ -616,13 +612,6 @@ def render(results: Dict) -> str:
             f"(unsampled {tr['unsampled_overhead_pct']:.1f}%, "
             f"rate {tr['sample_rate']:.4f}, "
             f"{tr['on']['spans_recorded']:,} spans kept)"
-        )
-    bt = results.get("backend_threaded")
-    if bt:
-        lines.append(
-            f"threaded   n={bt['n']:<4} nodes={bt['nodes']:<3} "
-            f"events={bt['sim_events']:>9,}  "
-            f"host={bt['events_per_sec']:>11,} ev/s"
         )
     bm = results.get("backend_mp")
     if bm:

@@ -4,7 +4,7 @@
 Compares a fresh ``bench_engine.py`` result file against the
 repo-root ``BENCH_engine.json`` baseline and fails (exit 1) when any
 gated bench — the ping-pong/fan-out engine microbenchmarks or the
-threaded/mp backend fibonacci runs — regresses by more than the
+mp backend fibonacci run — regresses by more than the
 threshold (default 20%) in events/sec.
 
 Usage (what the nightly CI job runs)::
@@ -34,18 +34,17 @@ DEFAULT_BASELINE = os.path.join(_REPO_ROOT, "BENCH_engine.json")
 
 #: The benches the gate watches.  The engine microbenchmarks catch
 #: per-message hot-path pessimisation (an allocation or uncached
-#: branch reintroduced); the backend fibonacci runs catch wire-path
-#: pessimisation in the real-time backends — per-packet pickling or
-#: syscalls creeping back into the mp batch path would halve its
-#: events/sec, far outside the threshold's noise allowance; the
+#: branch reintroduced); the mp fibonacci run catches wire-path
+#: pessimisation — per-packet pickling or syscalls creeping back into
+#: the mp batch path would halve its events/sec, far outside the
+#: threshold's noise allowance; the
 #: sampled-tracing traffic run catches the span hot path regrowing.
 #:
 #: ``backend_asyncio`` (the mp backend over loopback TCP) is recorded
 #: in the baseline but deliberately NOT gated yet: its wall-clock
 #: depends on loopback TCP scheduling and mesh bring-up — gate it once
 #: a few nightlies establish the noise band.  ``src_loc`` is recorded, never gated.
-GATED = ("pingpong", "fanout", "backend_threaded", "backend_mp",
-         "tracing")
+GATED = ("pingpong", "fanout", "backend_mp", "tracing")
 
 #: Absolute ceiling on ``tracing.overhead_pct``: the throughput cost of
 #: always-on (head-sampled) tracing over the untraced baseline.  Unlike

@@ -11,7 +11,7 @@ costs live in the platform transport (on the simulator,
 The endpoint is written against the platform seam
 (:class:`~repro.platform.base.NodeExecutor` /
 :class:`~repro.platform.base.Transport`), so the same send/deliver
-code runs on the discrete-event and the real-time threaded backends.
+code runs on the discrete-event simulator and in every mp worker.
 
 Endpoints of one machine share a *directory* (``dict[int, Endpoint]``)
 so a sender can hand delivery to the destination endpoint's handler
@@ -197,8 +197,7 @@ class Endpoint:
         self, dst: int, peer: "Endpoint", handler: str, args: tuple, size: int
     ) -> None:
         # The label names the message kind: free on the fault-free sim
-        # path (only the fault injector and the threaded transport's
-        # chatter classification read it).
+        # path (only the fault injector reads it there).
         self.network.unicast(
             self.node.node_id, dst, size,
             peer._deliver, (self.node.node_id, handler, args),

@@ -322,8 +322,8 @@ def run_group_broadcast(
     The broadcast replicates over the topology's spanning tree — on
     the mp backend the tree-forward messages share one serialised
     payload per fan-out and ride the batched wire frames, so this
-    scenario is the collective-communication parity check across all
-    three backends.
+    scenario is the collective-communication parity check across both
+    backends.
     """
     cfg = RuntimeConfig(num_nodes=num_nodes, seed=seed, backend=backend,
                         mp=mp or MpParams(), net=net or NetParams(),

@@ -7,7 +7,7 @@ compiler, and export causal traces.
     python -m repro table2            # just the runtime primitives
     python -m repro table4 --n 22 --nodes 16
     python -m repro compile-report    # what the HAL compiler decided
-    python -m repro run fibonacci_loadbalance --backend threaded
+    python -m repro run fibonacci_loadbalance --backend mp
     python -m repro trace migration_tour --out tour.json
     python -m repro stats fibonacci_loadbalance --json
     python -m repro faults migration_tour --seed 7 --drop 0.05 --dup 0.05
@@ -227,7 +227,7 @@ def _cmd_run(args) -> None:
             f"backend={rt.config.backend})",
             ["", "value"], rows,
             note="elapsed_us is simulated time on backend=sim, "
-                 "wall-clock time on backend=threaded/mp",
+                 "wall-clock time on backend=mp",
         ))
     finally:
         rt.close()
@@ -239,14 +239,6 @@ def _cmd_trace(args) -> None:
     from repro.timeline import chrome_trace, spans_jsonl
 
     backend = getattr(args, "backend", "sim")
-    from repro.platform.capabilities import supports, unsupported_message
-    if not supports(backend, "supports_tracing"):
-        # Span recording needs a shared recorder, which per-process
-        # nodes don't have; the message names the backends that do.
-        raise SystemExit(
-            "error: " + unsupported_message(backend, "supports_tracing")
-        )
-
     res = _run_scenario_for_cli(args)
     rt = res.runtime
     try:
@@ -446,7 +438,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--backend", choices=(*BACKENDS, *BACKEND_ALIASES),
                    default="sim",
                    help="sim: deterministic discrete-event simulator; "
-                        "threaded: real-time, one OS thread per node; "
                         "mp: one OS process per node, batched binary "
                         "frames over a socket mesh built by address at "
                         "bring-up, token-ring quiescence; asyncio: "
@@ -476,10 +467,10 @@ def main(argv: Optional[List[str]] = None) -> int:
              "timeline (migration_tour, fibonacci_loadbalance)",
     )
     p.add_argument("app", help="scenario name")
-    p.add_argument("--backend", choices=("sim", "threaded", "mp"),
-                   default="sim",
-                   help="execution backend to trace (mp records no spans "
-                        "and is refused)")
+    p.add_argument("--backend", choices=BACKENDS, default="sim",
+                   help="execution backend to trace (mp: each worker "
+                        "records its own spans, merged into one "
+                        "timeline on the driver)")
     p.add_argument("--nodes", type=int, default=None, help="partition size")
     p.add_argument("--n", type=int, default=None,
                    help="problem size (scenario-specific)")
@@ -525,7 +516,7 @@ def main(argv: Optional[List[str]] = None) -> int:
              "audit the run's invariants (exit 1 on violation)",
     )
     p.add_argument("app", help="scenario name")
-    p.add_argument("--backend", choices=("sim", "mp", *BACKEND_ALIASES),
+    p.add_argument("--backend", choices=(*BACKENDS, *BACKEND_ALIASES),
                    default="sim",
                    help="backend to inject on: sim (fully deterministic) "
                         "or mp (per-(seed, node) deterministic "

@@ -262,7 +262,7 @@ class ReliabilityParams:
 
 
 #: Execution backends (see :mod:`repro.platform`).
-BACKENDS = ("sim", "threaded", "mp")
+BACKENDS = ("sim", "mp")
 
 #: Deprecated backend names, accepted for one release by
 #: ``RuntimeConfig``, ``make_machine`` and the CLI: each maps to the
@@ -277,14 +277,12 @@ class RuntimeConfig:
     #: Number of processing elements in the partition.
     num_nodes: int = 8
     #: Execution backend: ``sim`` is the deterministic discrete-event
-    #: simulator (fault injection, timing tables); ``threaded`` runs
-    #: each node on an OS thread in real time (convergence semantics,
-    #: no determinism); ``mp`` runs each node in its own OS process
-    #: (batched wire frames over a socket mesh built by address at
-    #: bring-up, token-ring quiescence, no GIL sharing).  A name in
-    #: :data:`BACKEND_ALIASES` is accepted with a DeprecationWarning
-    #: and resolved.  See :mod:`repro.platform`.
-    backend: Literal["sim", "threaded", "mp"] = "sim"
+    #: simulator (timing tables, fault replay); ``mp`` runs each node
+    #: in its own OS process (batched wire frames over a socket mesh
+    #: built by address at bring-up, token-ring quiescence, no GIL
+    #: sharing).  A name in :data:`BACKEND_ALIASES` is accepted with a
+    #: DeprecationWarning and resolved.  See :mod:`repro.platform`.
+    backend: Literal["sim", "mp"] = "sim"
     #: Interconnect topology: CM-5 fat-tree or binary hypercube.
     topology: Literal["fattree", "hypercube"] = "fattree"
     #: Seed for all deterministic random substreams.

@@ -7,28 +7,27 @@ a backend by name (usually from ``RuntimeConfig.backend``):
     The discrete-event simulator — deterministic, fault-injectable,
     the backend every timing table and invariant replay runs on.
 
-``threaded``
-    Real time: one OS thread per node, wall-clock time, convergence
-    semantics.  Same protocols, no determinism, no fault injection.
-
 ``mp``
     Distributed: one OS *process* per node, batched binary frames
     over a full mesh of stream sockets (UNIX-domain by default, TCP
     with ``net.transport="tcp"``) meshed by address at bring-up, one
     worker loop, token-ring quiescence detection, and cluster-wide
     ``(birthplace, descriptor)`` name resolution with FIR-style
-    back-patching on the driver.  The only backend where the GIL does
-    not serialise node execution; no determinism (fault injection
-    *is* supported, with per-(seed, node) deterministic draw streams),
-    and non-picklable payloads are hard errors.
+    back-patching on the driver.  Real parallelism, no determinism:
+    fault plans run with per-(seed, node) deterministic draw streams,
+    spans are recorded in the workers and merged on the driver, and
+    non-picklable payloads are hard errors.
+
+Both backends inject faults and record spans; ``sim`` alone replays
+deterministically, ``mp`` alone runs nodes in parallel.
 
 ``asyncio`` is a deprecated alias, kept for one release, of ``mp``
 with ``net.transport="tcp"`` (see ``BACKEND_ALIASES`` in
 :mod:`repro.config`).
 
 Backend modules are imported lazily so constructing a sim machine
-never pays for ``threading`` machinery and vice versa, and so the
-interface module stays import-cycle-free.
+never pays for ``multiprocessing`` machinery and vice versa, and so
+the interface module stays import-cycle-free.
 """
 
 from __future__ import annotations
@@ -55,8 +54,7 @@ def make_machine(
     """Construct the partition for ``config`` on the chosen backend.
 
     ``backend`` defaults to ``config.backend``.  ``faults`` is a
-    :class:`~repro.sim.faults.FaultPlan`; passing a non-empty plan to
-    a backend without fault support raises :class:`ReproError`.
+    :class:`~repro.sim.faults.FaultPlan`.
     """
     name = backend if backend is not None else getattr(config, "backend", "sim")
     if name in BACKEND_ALIASES:
@@ -66,10 +64,6 @@ def make_machine(
         from repro.platform.simbackend import SimMachine
 
         return SimMachine(config, trace=trace, faults=faults)
-    if name == "threaded":
-        from repro.platform.threaded import ThreadedMachine
-
-        return ThreadedMachine(config, trace=trace, faults=faults)
     if name == "mp":
         from repro.platform.mp import MpMachine
 

@@ -7,7 +7,7 @@ module pins down that abstraction as four narrow protocols:
 
 ``Clock``
     A monotonic microsecond clock.  The simulator's clock only moves
-    when events fire; the threaded backend's is the host's wall clock.
+    when events fire; the mp backend's is the host's wall clock.
 
 ``NodeExecutor``
     One processing element's CPU: serialised handler execution,
@@ -34,21 +34,9 @@ methods in heap entries) untouched.  The layering lint
 (``tools/check_layering.py``) enforces that ``repro.runtime`` and
 ``repro.am`` import execution machinery only from ``repro.platform``.
 
-Feature support differs per backend and is advertised by flags on the
-machine.  The single source of truth is the declarative table in
-:mod:`repro.platform.capabilities` (tests pin the class flags, the
-rejection messages and the README matrix against it):
-
-========================  ===========  ============  ====
-capability                sim          threaded      mp
-========================  ===========  ============  ====
-``deterministic``         yes          no            no
-``supports_faults``       yes          no            yes
-``supports_tracing``      yes          yes           no
-``distributed``           no           no            yes
-========================  ===========  ============  ====
-
-A *distributed* machine runs each node in its own OS process: nothing
+Both backends inject faults and record spans.  They differ in one
+flag, ``distributed``: the sim backend replays deterministically, and
+a *distributed* machine (mp) runs each node in its own OS process: nothing
 is shared, every message crosses an operating-system boundary as a
 :class:`WirePacket` — batched per destination into compact binary
 frames (:mod:`repro.platform.wireformat`) over a byte-stream socket
@@ -184,7 +172,7 @@ class NodeExecutor(Protocol):
 
         On the simulator this bridges the node-local clock (which lazy
         charging lets run ahead) back onto the global event heap; on
-        real-time backends the clocks never diverge and the call is
+        the mp backend the clocks never diverge and the call is
         made inline.  The AM send path uses this so message injection
         happens at a consistent global time.
         """
@@ -236,12 +224,6 @@ class PlatformMachine(Protocol):
     frontend_node: NodeExecutor
     network: Transport
 
-    #: True when runs are bit-reproducible given a seed.  Invariant
-    #: checks that rely on exact global counter arithmetic (packet
-    #: conservation) gate on this.
-    deterministic: bool
-    #: True when a fault plan can be installed on this backend.
-    supports_faults: bool
     #: True when nodes run in separate OS processes (nothing shared;
     #: driver operations travel as commands, packets as framed
     #: :class:`WirePacket` data).
@@ -302,5 +284,6 @@ class PlatformMachine(Protocol):
         ...
 
     def shutdown(self) -> None:
-        """Release backend resources (threads, queues).  Idempotent."""
+        """Release backend resources (worker processes, sockets).
+        Idempotent."""
         ...

@@ -61,9 +61,8 @@ record is processed, so distributed quiescence detection is exactly as
 sound as it was on the one-pickle-per-packet path.
 
 Nothing is shared, so the shared-counter quiescence arithmetic of the
-sim backend (and the threaded backend's live count) is unavailable by
-construction.  Termination is instead detected with a Safra-style
-token ring:
+sim backend is unavailable by construction.  Termination is instead
+detected with a Safra-style token ring:
 
 - every worker keeps a message counter ``c`` (counted sends minus
   counted receives; steal/ack chatter is excluded, exactly as in the
@@ -102,10 +101,25 @@ birthplace's name-table shard, follow forwarding guesses, back-patch
 the driver's cache (the FIR chase of §4.3, run from outside the
 partition).
 
+**Spans are recorded in the workers.**  With ``trace=True`` each
+worker keeps its own :class:`~repro.tracing.SpanRecorder` ring (the
+``config.tracing`` capacity and sample rate, a per-node head-sampling
+stream, and ID counters offset by the node id so no two workers hand
+out the same trace or span ID) and its own flat
+:class:`~repro.tracing.TraceLog`.  The trace context needs no wire
+support: :class:`~repro.tracectx.TraceCtx` already rides the pickled
+args tuple.  Every worker's :class:`WallClock` counts from the
+driver's epoch, passed in at fork — ``perf_counter`` is
+``CLOCK_MONOTONIC``, one time base for every process on the host — so
+the driver merges the shipped rings into one timeline without any
+offset exchange (:meth:`MpMachine._refresh`).
+
 A payload that does not pickle is a **hard error**
 (:class:`~repro.errors.NetworkError` on the sending worker, surfaced
-to the driver), where the in-process backends would happily share the
-object by reference.
+to the driver), where the in-process simulator would happily share the
+object by reference.  So is a frame that does not decode: the
+receiving worker closes that peer's stream and the driver raises one
+:class:`~repro.errors.NetworkError` naming both nodes.
 """
 
 from __future__ import annotations
@@ -122,19 +136,29 @@ import tempfile
 import time
 import traceback
 from multiprocessing.connection import wait as conn_wait
+from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.config import RuntimeConfig
 from repro.errors import NetworkError, NodeFailure, ReproError, SimulationError
 from repro.platform.base import WirePacket
-from repro.platform.threaded import _CHATTER_KINDS, WallClock
 from repro.platform.wireformat import FrameDecoder, FrameEncoder, encode_payload
 from repro.rng import RngStreams, _derive_seed
 from repro.stats import Histogram, StatsRegistry
 from repro.topology import Topology, make_topology
-from repro.tracing import NullSpanRecorder, NullTraceLog
+from repro.tracing import NullSpanRecorder, NullTraceLog, SpanRecorder, TraceLog
 
 Callback = Callable[..., None]
+
+#: Pure control chatter: message kinds excluded from the Safra counts
+#: so idle nodes trading steal polls (or reliability acks) never hold
+#: quiescence open.  Mirrors the counter arithmetic in
+#: ``SimMachine.net_idle``.
+_CHATTER_KINDS = frozenset({"steal_req", "steal_deny", "__rel_ack__"})
+
+#: Spacing of the per-worker span/trace ID ranges (see
+#: ``SpanRecorder(id_base=...)``): node ``i`` counts from ``i << 40``.
+_ID_SHIFT = 40
 
 #: Heap-entry label of the balancer's poll timers: the only deferred
 #: work a passive node may hold (mirrors the chatter exclusion).
@@ -158,6 +182,24 @@ _BOOT_GRACE_S = 30.0
 
 #: Pause between redials of a peer whose listener is not up yet.
 _REDIAL_S = 0.02
+
+
+class WallClock:
+    """Monotonic host clock in microseconds since ``t0`` (a
+    ``perf_counter`` reading; default: construction time)."""
+
+    __slots__ = ("_t0",)
+
+    def __init__(self, t0: Optional[float] = None) -> None:
+        self._t0 = perf_counter() if t0 is None else t0
+
+    @property
+    def epoch(self) -> float:
+        return self._t0
+
+    @property
+    def now(self) -> float:
+        return (perf_counter() - self._t0) * 1e6
 
 
 def _pickling_errors():
@@ -356,7 +398,7 @@ def _mesh(
 # ======================================================================
 class _WorkerTimer:
     """Cancellable handle on a worker heap entry (tombstoning, same
-    scheme as the sim and threaded backends)."""
+    scheme as the sim backend)."""
 
     __slots__ = ("_entry", "label")
 
@@ -547,19 +589,29 @@ class _WorkerMachine:
     surface :class:`~repro.runtime.kernel.Kernel` reads from
     ``runtime.machine``."""
 
-    deterministic = False
-    supports_faults = True
-    supports_tracing = False
-    distributed = True
-
     def __init__(
-        self, host: "_WorkerHost", config: RuntimeConfig, fault_plan=None
+        self,
+        host: "_WorkerHost",
+        config: RuntimeConfig,
+        fault_plan=None,
+        trace: bool = False,
     ) -> None:
         self.config = config
         self.stats = StatsRegistry()
-        self.trace = NullTraceLog()
-        self.spans = NullSpanRecorder()
         self.rng = RngStreams(config.seed)
+        node_id = host.node_id
+        self.trace = TraceLog(enabled=True) if trace else NullTraceLog()
+        self.spans = (
+            SpanRecorder(
+                enabled=True,
+                capacity=config.tracing.span_capacity,
+                sample_rate=config.tracing.sample_rate,
+                sampler=self.rng.stream(f"tracing.head.{node_id}"),
+                id_base=node_id << _ID_SHIFT,
+            )
+            if trace
+            else NullSpanRecorder()
+        )
         self.topology: Topology = make_topology(config.topology, config.num_nodes)
         self.faults = None
         if fault_plan is not None:
@@ -575,7 +627,7 @@ class _WorkerMachine:
 
             base = fault_plan.seed if fault_plan.seed is not None else config.seed
             node_plan = dataclasses.replace(
-                fault_plan, seed=_derive_seed(base, f"mp-node-{host.node_id}")
+                fault_plan, seed=_derive_seed(base, f"mp-node-{node_id}")
             )
             self.faults = FaultInjector(node_plan, config.seed, self.stats)
         self.network = _WireTransport(
@@ -583,7 +635,7 @@ class _WorkerMachine:
         )
         # Keyed by node id so Kernel's ``machine.nodes[node_id]`` works
         # even though only this worker's node exists in-process.
-        self.nodes: Dict[int, _WorkerNode] = {host.node_id: host.node}
+        self.nodes: Dict[int, _WorkerNode] = {node_id: host.node}
 
 
 class _WorkerRuntime:
@@ -593,7 +645,12 @@ class _WorkerRuntime:
     surface, so the kernel runs unmodified."""
 
     def __init__(
-        self, host: "_WorkerHost", config: RuntimeConfig, costs, fault_plan=None
+        self,
+        host: "_WorkerHost",
+        config: RuntimeConfig,
+        costs,
+        fault_plan=None,
+        trace: bool = False,
     ) -> None:
         from repro.am.broadcast import TreeMulticaster
         from repro.runtime.frontend import FrontEnd
@@ -602,7 +659,7 @@ class _WorkerRuntime:
         self.host = host
         self.config = config
         self.costs = costs
-        self.machine = _WorkerMachine(host, config, fault_plan)
+        self.machine = _WorkerMachine(host, config, fault_plan, trace)
         self.endpoint_directory: Dict[int, Any] = {}
         self.frontend = FrontEnd(self)
         self.kernels = [Kernel(self, host.node_id)]
@@ -638,12 +695,14 @@ class _WorkerHost:
         ctrl,
         peers: Dict[int, socket.socket],
         fault_plan=None,
+        epoch: Optional[float] = None,
+        trace: bool = False,
     ) -> None:
         self.node_id = node_id
         self.config = config
         self.ctrl = ctrl
         self.peers = peers
-        self.clock = WallClock()
+        self.clock = WallClock(epoch)
         self.node = _WorkerNode(node_id, self.clock)
         self.quiesced = False
         self._stop = False
@@ -673,7 +732,7 @@ class _WorkerHost:
         #: tuple's id could be recycled).
         self._pay_obj: Any = None
         self._pay_bytes: bytes = b""
-        self.runtime = _WorkerRuntime(self, config, costs, fault_plan)
+        self.runtime = _WorkerRuntime(self, config, costs, fault_plan, trace)
         self.kernel = self.runtime.kernels[0]
         #: Worker-local injector (None without a plan); consulted on
         #: the receive path for stall windows.
@@ -1003,6 +1062,9 @@ class _WorkerHost:
         return report
 
     def _snapshot(self) -> Dict[str, Any]:
+        """This worker's observable state, picklable.  With tracing on
+        it also ships the raw span ring with its accounting and the
+        flat trace records (see :meth:`MpMachine._refresh`)."""
         locations = {}
         actors = 0
         for desc in self.kernel.table:
@@ -1010,7 +1072,8 @@ class _WorkerHost:
                 actors += 1
                 if desc.key is not None:
                     locations[desc.key] = self.node_id
-        return {
+        machine = self.runtime.machine
+        snap = {
             "stats": _dump_registry(self.machine_stats),
             "locations": locations,
             "actors": actors,
@@ -1025,6 +1088,10 @@ class _WorkerHost:
             # Safra state (white-box; debugging and tests only).
             "safra": (self._count, self._black, self._passive()),
         }
+        if machine.spans.enabled:
+            snap["spans"] = machine.spans.export()
+            snap["trace"] = (machine.trace.records, machine.trace.dropped)
+        return snap
 
     # ------------------------------------------------------------------
     # main loop
@@ -1090,6 +1157,18 @@ class _WorkerHost:
                 if self._net_ready():
                     break
 
+    def _close_peer(self, ch: _SocketChannel, exc: NetworkError) -> None:
+        """A frame from this peer did not decode: the stream cannot be
+        trusted past it, so stop reading it, close it (the peer sees
+        EOF and exits) and tell the driver which link broke."""
+        peer = next(nid for nid, c in self.channels.items() if c is ch)
+        # Report first: the driver must hold the cause before the
+        # peer's exit can reach it.
+        self.ctrl.send(("neterr", self.node_id, peer, str(exc)))
+        del self._by_waitable[ch.sock]
+        self._waitables.remove(ch.sock)
+        ch.sock.close()
+
     def _next_timeout(self) -> Optional[float]:
         heap = self.node._heap
         while heap and heap[0][2] is None:
@@ -1125,7 +1204,12 @@ class _WorkerHost:
                                 return
                     else:
                         ch.read_available()
-                        for rec in ch.decoder.drain():
+                        try:
+                            records = ch.decoder.drain()
+                        except NetworkError as exc:
+                            self._close_peer(ch, exc)
+                            continue
+                        for rec in records:
                             self._dispatch_record(rec)
             except (EOFError, OSError):
                 # The driver or a peer went away.  No stream is ever
@@ -1148,12 +1232,16 @@ def _worker_main(
     ctrl,
     unix_dir: Optional[str] = None,
     fault_plan=None,
+    epoch: Optional[float] = None,
+    trace: bool = False,
 ) -> None:
     """Process entry point (module-level so a spawn start method can
     pickle it): mesh, then serve on the worker loop."""
     try:
         peers = _mesh(node_id, config, ctrl, unix_dir)
-        _WorkerHost(node_id, config, costs, ctrl, peers, fault_plan)._loop_wait()
+        _WorkerHost(
+            node_id, config, costs, ctrl, peers, fault_plan, epoch, trace
+        )._loop_wait()
     except BaseException:  # noqa: BLE001 - last-resort report to driver
         _report_error(ctrl, node_id)
 
@@ -1289,18 +1377,12 @@ class MpMachine:
 
     Satisfies :class:`~repro.platform.base.PlatformMachine` with
     ``distributed = True``: the driver side holds stub nodes, a merged
-    stats registry (rebuilt from worker snapshots), and the command /
-    detection plumbing.  Workers are spawned by :meth:`start_workers`
-    (the runtime calls it once it knows the cost model)."""
+    stats registry, span recorder and trace log (rebuilt from worker
+    snapshots), and the command / detection plumbing.  Workers are
+    spawned by :meth:`start_workers` (the runtime calls it once it
+    knows the cost model)."""
 
-    deterministic = False
-    supports_faults = True
-    supports_tracing = False
     distributed = True
-    #: Per-process counters are single-threaded (exact) and merged
-    #: after quiescence, so conservation arithmetic is trustworthy
-    #: even though the machine itself is not deterministic.
-    counters_exact = True
 
     #: Driver wait quantum while a detection round is in flight.
     _POLL_S = 0.0005
@@ -1324,8 +1406,17 @@ class MpMachine:
         )
         self.clock = WallClock()
         self.stats = StatsRegistry()
-        self.trace = NullTraceLog()
-        self.spans = NullSpanRecorder()
+        # With tracing on these hold the workers' merged records,
+        # rebuilt by every _refresh(); the driver records nothing.
+        self.trace = TraceLog(enabled=True) if trace else NullTraceLog()
+        self.spans = (
+            SpanRecorder(
+                enabled=True, capacity=1,
+                sample_rate=config.tracing.sample_rate,
+            )
+            if trace
+            else NullSpanRecorder()
+        )
         self.rng = RngStreams(config.seed)
         self.topology: Topology = make_topology(config.topology, config.num_nodes)
         self.faults = None
@@ -1354,9 +1445,10 @@ class MpMachine:
         self._shut = False
         #: Private directory of the UNIX-domain listeners, if any.
         self._unix_dir: Optional[str] = None
-        #: Set once a worker is found dead; every later control-plane
-        #: call re-raises it instead of touching the broken pipes.
-        self._failure: Optional[NodeFailure] = None
+        #: Set once a worker is found dead or a mesh link is broken;
+        #: every later control-plane call re-raises it instead of
+        #: touching the broken pipes.
+        self._failure: Optional[ReproError] = None
 
     # ------------------------------------------------------------------
     # boot / teardown
@@ -1377,7 +1469,7 @@ class MpMachine:
             proc = ctx.Process(
                 target=_worker_main,
                 args=(i, self.config, costs, child, self._unix_dir,
-                      self.fault_plan),
+                      self.fault_plan, self.clock.epoch, self.spans.enabled),
                 name=f"repro-mp-node-{i}",
                 daemon=True,
             )
@@ -1471,14 +1563,24 @@ class MpMachine:
     #: exit status before naming a node.
     _REAP_S = 1.0
 
-    def _node_failure(self, node: int, exc: BaseException) -> NodeFailure:
+    def _node_failure(self, node: int, exc: BaseException) -> ReproError:
         """Turn a broken control pipe into a typed :class:`NodeFailure`.
 
         The pipe that broke need not be the dead worker's: a killed
         node's peers see EOF on their sockets and exit cleanly, closing
         their own pipes.  So name the first worker whose exit status is
         non-zero (waiting briefly for it to be reaped), falling back to
-        ``node``, whose pipe failed, if every worker exited cleanly."""
+        ``node``, whose pipe failed, if every worker exited cleanly.
+        A broken mesh link reported by a worker is the cause of the
+        exits it triggers, so such a report, pending on any pipe, wins."""
+        for conn in self._ctrl:
+            try:
+                while self._failure is None and conn.poll():
+                    self._note_event(conn.recv())
+            except (EOFError, OSError):
+                pass
+        if self._failure is not None:
+            return self._failure
         deadline = time.monotonic() + self._REAP_S
         while True:
             codes = [proc.exitcode for proc in self._procs]
@@ -1505,6 +1607,13 @@ class MpMachine:
                 self._detect_ok = msg[2]
         elif tag == "err":
             self._worker_error = msg[2]
+        elif tag == "neterr":
+            _, node, peer, detail = msg
+            if self._failure is None:
+                self._failure = NetworkError(
+                    f"node {node}: malformed frame from peer {peer}; "
+                    f"link closed ({detail})"
+                )
 
     def _drain_events(self, timeout: float = 0.0) -> bool:
         """Read every available control event; True if any arrived."""
@@ -1675,7 +1784,9 @@ class MpMachine:
     # ------------------------------------------------------------------
     def _refresh(self) -> None:
         """Pull a snapshot from every worker and rebuild the merged
-        registry, location map and console."""
+        registry, location map and console — and, with tracing on, the
+        span recorder and trace log (one timeline: every worker's clock
+        counts from the driver's epoch)."""
         if not self._procs or self._shut or self._failure is not None:
             return
         snaps = self.broadcast_command(("snap",))
@@ -1695,6 +1806,13 @@ class MpMachine:
             stub.events_run = snap["events_run"]
             stub.now = snap["now"]
         self.console_lines = sorted(console)
+        if self.spans.enabled:
+            self.spans.merge_from([snap["spans"] for snap in snaps])
+            self.trace.records = sorted(
+                (r for snap in snaps for r in snap["trace"][0]),
+                key=lambda r: r.time,
+            )
+            self.trace.dropped = sum(snap["trace"][1] for snap in snaps)
 
     #: Bound on the reliable-layer settle wait in :meth:`audit`.
     _AUDIT_SETTLE_S = 5.0

@@ -8,9 +8,9 @@ adds nothing to the per-event path — the PR 1 hot-path representation
 (plain list heap entries, bound-method payloads) is untouched, and
 runs remain bit-reproducible given a seed.
 
-This is the only backend that supports deterministic replay and fault
-injection, which is why it stays the default and the one CI's
-fault-fuzz and invariant jobs run on.
+This is the only backend with deterministic replay: a fault seed
+reproduces the same run bit for bit, which is why it stays the default
+and the one the timing tables and invariant replays run on.
 """
 
 from __future__ import annotations
@@ -41,11 +41,6 @@ class SimMachine:
     and I/O (see :class:`repro.runtime.frontend.FrontEnd`).
     """
 
-    #: Given a seed, every run is bit-identical: events fire in
-    #: ``(time, seq)`` order and all randomness flows from RngStreams.
-    deterministic = True
-    supports_faults = True
-    supports_tracing = True
     distributed = False
 
     def __init__(

@@ -81,6 +81,20 @@ _MSGR = struct.Struct("!BhhHHII")
 #: distinct handler names (a registry holds a few dozen in practice).
 MAX_INTERNED = 0xFFFF
 
+#: What a malformed frame can raise while it is parsed: a header cut
+#: short, a payload that does not unpickle, a name that is not utf-8
+#: (``UnicodeDecodeError`` is a ``ValueError``).  :meth:`FrameDecoder.
+#: drain` turns each into :class:`NetworkError`.
+_MALFORMED = (
+    NetworkError,
+    struct.error,
+    pickle.UnpicklingError,
+    EOFError,
+    ValueError,
+    ImportError,
+    AttributeError,
+)
+
 #: A decoded record: ``("msg", WirePacket)``, ``("tok", rid, count,
 #: black)`` or ``("qsc", rid)``.  ``DEF`` records are consumed by the
 #: decoder itself (they mutate the string table, nothing else).
@@ -204,6 +218,14 @@ class FrameDecoder:
     returns its records, leaving any trailing partial frame buffered
     for the next read.  The string table mirrors the sender's encoder:
     ``DEF`` records grow it append-only and are not surfaced.
+
+    A malformed frame raises :class:`NetworkError` from :meth:`drain`.
+    Every header is checked against its own frame's end, so a record
+    cut short is never completed from the next frame's bytes.  The
+    bytes up to the end of the bad frame are dropped with the records
+    decoded so far in that call, so a later drain never parses a frame
+    twice; the stream is not to be trusted past that point, and its
+    reader closes it.
     """
 
     __slots__ = ("_names", "_buf")
@@ -231,13 +253,21 @@ class FrameDecoder:
         total = len(buf)
         off = 0
         out: List[Record] = []
-        while total - off >= _LEN.size:
-            (body_len,) = _LEN.unpack_from(buf, off)
-            end = off + _LEN.size + body_len
-            if end > total:
-                break
-            self._parse_body(buf, off + _LEN.size, end, out)
-            off = end
+        try:
+            while total - off >= _LEN.size:
+                (body_len,) = _LEN.unpack_from(buf, off)
+                end = off + _LEN.size + body_len
+                if end > total:
+                    break
+                self._parse_body(buf, off + _LEN.size, end, out)
+                off = end
+        except _MALFORMED as exc:
+            del buf[:end]
+            if isinstance(exc, NetworkError):
+                raise
+            raise NetworkError(
+                f"malformed frame: {type(exc).__name__}: {exc}"
+            ) from exc
         if off:
             del buf[:off]
         return out
@@ -250,6 +280,8 @@ class FrameDecoder:
         while off < end:
             tag = buf[off]
             if tag == MSG:
+                if off + _MSG.size > end:
+                    raise NetworkError("message header overruns its frame")
                 _, src, dst, hid, kid, nbytes, plen = _MSG.unpack_from(buf, off)
                 off += _MSG.size
                 if off + plen > end:
@@ -268,6 +300,8 @@ class FrameDecoder:
                     ("msg", WirePacket(src, dst, handler, args, nbytes, kind))
                 )
             elif tag == DEF:
+                if off + _DEF.size > end:
+                    raise NetworkError("name record header overruns its frame")
                 _, ident, name_len = _DEF.unpack_from(buf, off)
                 off += _DEF.size
                 if off + name_len > end:
@@ -281,6 +315,8 @@ class FrameDecoder:
                     )
                 names.append(name)
             elif tag == MSGR:
+                if off + _MSGR.size > end:
+                    raise NetworkError("message header overruns its frame")
                 _, src, dst, hlen, klen, nbytes, plen = _MSGR.unpack_from(
                     buf, off
                 )
@@ -297,10 +333,14 @@ class FrameDecoder:
                     ("msg", WirePacket(src, dst, handler, args, nbytes, kind))
                 )
             elif tag == TOK:
+                if off + _TOK.size > end:
+                    raise NetworkError("token record header overruns its frame")
                 _, rid, count, black = _TOK.unpack_from(buf, off)
                 off += _TOK.size
                 out.append(("tok", rid, count, bool(black)))
             elif tag == QSC:
+                if off + _QSC.size > end:
+                    raise NetworkError("quiesce record header overruns its frame")
                 (_, rid) = _QSC.unpack_from(buf, off)
                 off += _QSC.size
                 out.append(("qsc", rid))

@@ -1,9 +1,10 @@
 """The user-facing runtime facade.
 
 :class:`HalRuntime` boots a partition on the selected execution
-backend (``config.backend``: the discrete-event simulator or the
-real-time threaded machine), one kernel per processing element, the
-spanning-tree multicaster, and the front-end.  External drivers
+backend (``config.backend``: the discrete-event simulator, with one
+kernel per processing element, the spanning-tree multicaster and the
+front-end in this process; or the mp machine, whose kernels live in
+worker processes).  External drivers
 (examples, tests, benchmarks) use it to load programs, spawn actors,
 send messages, perform synchronous calls and run the machine to
 quiescence.  The runtime itself only touches the platform interfaces
@@ -29,7 +30,7 @@ from repro.runtime.program import HalProgram
 
 class HalRuntime:
     """A booted HAL runtime on a CM-5-like partition (simulated or
-    real-time threaded, per ``config.backend``)."""
+    process-per-node, per ``config.backend``)."""
 
     def __init__(
         self,
@@ -291,7 +292,7 @@ class HalRuntime:
     def run(self, *, until: Optional[float] = None, stop_when=None) -> float:
         """Run the machine to quiescence, a deadline, or a predicate.
         Returns the platform time reached (simulated µs on the sim
-        backend, wall-clock µs on the threaded one)."""
+        backend, wall-clock µs on the mp one)."""
         if self.config.load_balance.enabled:
             for kernel in self.kernels:
                 kernel.balancer.kick()
@@ -302,12 +303,12 @@ class HalRuntime:
         (steal-protocol and reliability-ack chatter excluded) and no
         runnable work held above the platform.  The machine owns the
         judgement — counter arithmetic plus the work probes registered
-        at boot on the in-process backends, the token ring's verdict on
-        the distributed one."""
+        at boot on the simulator, the token ring's verdict on the
+        distributed mp backend."""
         return self.machine.quiescent()
 
     def close(self) -> None:
-        """Release backend resources (worker threads on the threaded
+        """Release backend resources (worker processes on the mp
         backend; a no-op on the simulator).  Idempotent."""
         self.machine.shutdown()
 

@@ -31,10 +31,10 @@ worker processes, so the audit splits: each worker computes its own
 retained-work problems and a picklable name-table slice
 (:func:`kernel_audit`, shipped over the control pipe by the machine's
 ``audit()``), and the driver chases forwarding chains and birthplace
-resolution over the merged tables.  Conservation arithmetic is gated
-on ``machine.counters_exact`` rather than determinism: per-process
-counters are single-threaded and merged after quiescence, so the books
-are exact even though the interleaving is not reproducible.
+resolution over the merged tables.  Conservation arithmetic holds on
+both backends: per-process counters are single-threaded and merged
+after quiescence, so the books are exact even though the interleaving
+is not reproducible.
 """
 
 from __future__ import annotations
@@ -199,11 +199,7 @@ def check_invariants(runtime: "HalRuntime", *, drain: bool = True) -> Dict:
     dropped = stats.counter("faults.dropped_packets")
     duplicated = stats.counter("faults.dup_packets")
     imbalance = sends + duplicated - dropped - delivered
-    # Counter arithmetic is only exact on a deterministic backend:
-    # the threaded machine's counters are incremented racily from
-    # worker threads (diagnostics, not books), so the conservation
-    # audit holds only where events fire one at a time.
-    if imbalance and machine.deterministic:
+    if imbalance:
         problems.append(
             f"packet books do not balance: sends({sends}) + dup({duplicated})"
             f" - dropped({dropped}) - delivered({delivered}) = {imbalance}; "
@@ -213,17 +209,14 @@ def check_invariants(runtime: "HalRuntime", *, drain: bool = True) -> Dict:
     # 2b. steal-protocol conservation — every req/grant/deny sent was
     # received.  The reliable sublayer retransmits dropped steal
     # packets until acked, so the books balance even under fault
-    # injection; without it a fault plan may legitimately eat them,
-    # and on a non-deterministic backend the counters are diagnostics.
+    # injection; without it a fault plan may legitimately eat them.
     steal_sent = stats.counter("steal.proto_sent")
     steal_recv = stats.counter("steal.proto_recv")
     reliable_everywhere = runtime.kernels and all(
         k.reliable is not None for k in runtime.kernels
     )
-    if (
-        steal_sent != steal_recv
-        and machine.deterministic
-        and (machine.faults is None or reliable_everywhere)
+    if steal_sent != steal_recv and (
+        machine.faults is None or reliable_everywhere
     ):
         problems.append(
             f"steal-protocol books do not balance: proto_sent({steal_sent})"
@@ -312,10 +305,10 @@ def _check_distributed(runtime: "HalRuntime") -> Dict:
     slices ``machine.audit()`` collects from the workers: per-node
     retained-work problems (computed in-process against the real
     kernels) and per-node name tables, merged here for the chain
-    chases.  Conservation runs on the merged registries —
-    ``machine.counters_exact`` declares them trustworthy (each
-    worker's counters are single-threaded, and the merge happens
-    after quiescence, so no increment is ever racing the read)."""
+    chases.  Conservation runs on the merged registries, which are
+    exact: each worker's counters are single-threaded, and the merge
+    happens after quiescence, so no increment is ever racing the
+    read."""
     machine = runtime.machine
     problems: List[str] = []
 
@@ -335,10 +328,7 @@ def _check_distributed(runtime: "HalRuntime") -> Dict:
     dropped = stats.counter("faults.dropped_packets")
     duplicated = stats.counter("faults.dup_packets")
     imbalance = sends + duplicated - dropped - delivered
-    counters_exact = machine.deterministic or getattr(
-        machine, "counters_exact", False
-    )
-    if imbalance and counters_exact:
+    if imbalance:
         problems.append(
             f"packet books do not balance: sends({sends}) + dup({duplicated})"
             f" - dropped({dropped}) - delivered({delivered}) = {imbalance}; "
@@ -352,11 +342,7 @@ def _check_distributed(runtime: "HalRuntime") -> Dict:
     reliable_everywhere = bool(reports) and all(
         r["reliable"] for r in reports
     )
-    if (
-        steal_sent != steal_recv
-        and counters_exact
-        and (not faults_on or reliable_everywhere)
-    ):
+    if steal_sent != steal_recv and (not faults_on or reliable_everywhere):
         problems.append(
             f"steal-protocol books do not balance: proto_sent({steal_sent})"
             f" != proto_recv({steal_recv}); a req/grant/deny packet was "

@@ -1,16 +1,17 @@
 """Span exporters: Chrome trace-event JSON and JSONL dumps.
 
 Backend-neutral: the exporters are pure functions over
-:class:`repro.tracing.Span` iterables, so they serve any platform
-whose machine records spans (``supports_tracing`` in the capability
-matrix — the simulator and the threaded backend today).
+:class:`repro.tracing.Span` iterables, so they serve both backends —
+the simulator's recorder and the mp driver's merge of its workers'
+rings.
 
 :func:`chrome_trace` emits the Trace Event Format understood by
 Perfetto / ``chrome://tracing``: one process per machine, one thread
 (track) per node, complete events (``ph: "X"``) for spans with
 duration and instant events (``ph: "i"``) for point occurrences.
 Timestamps are already microseconds — the simulator's native unit, and
-the threaded backend's wall-clock unit — so no scaling is applied.
+the mp backend's wall-clock unit (every worker counts from the
+driver's epoch) — so no scaling is applied.
 
 :func:`spans_jsonl` is the flat machine-readable form: one JSON object
 per span per line, suitable for ad-hoc analysis with ``jq`` or pandas.

@@ -49,7 +49,9 @@ The span path is built so tracing can stay enabled in production:
   they are bit-identical at any sample rate.
 
 The module is execution-backend-neutral: the discrete-event simulator
-and the real-time threaded backend feed the same recorders.
+feeds one recorder; on the mp backend every worker process feeds its
+own (IDs made disjoint with ``id_base``) and the driver shows their
+union with :meth:`SpanRecorder.merge_from`.
 """
 
 from __future__ import annotations
@@ -222,6 +224,10 @@ class SpanRecorder:
     perturbs other consumers.  At ``sample_rate >= 1`` no draw is made
     at all and every trace is sampled (the default, and what tests
     rely on).
+
+    ``id_base`` offsets both ID counters, so recorders that are later
+    merged (one per mp worker) never hand out the same trace or span
+    ID; the trace ID's low sample bit is unaffected.
     """
 
     def __init__(
@@ -231,6 +237,7 @@ class SpanRecorder:
         *,
         sample_rate: float = 1.0,
         sampler: Optional[random.Random] = None,
+        id_base: int = 0,
     ) -> None:
         if not (0.0 <= sample_rate <= 1.0):
             raise ValueError("sample_rate must be within [0, 1]")
@@ -244,8 +251,11 @@ class SpanRecorder:
         #: monotonic write count (ring position = ``_n % capacity``).
         self._slots: List[Optional[tuple]] = [None] * self.capacity
         self._n = 0
-        self._next_trace = 1
-        self._next_span = 1
+        #: Spans evicted from the rings a merged recorder was built
+        #: from (see :meth:`merge_from`); 0 for a recording ring.
+        self._lost = 0
+        self._next_trace = id_base + 1
+        self._next_span = id_base + 1
         # -- accounting (surfaced via accounting(): a sampled or
         # wrapped trace must never be mistaken for a complete one) --
         #: Would-be spans elided because their trace lost the head
@@ -383,19 +393,19 @@ class SpanRecorder:
     @property
     def recorded(self) -> int:
         """Total spans written to the ring (including overwritten)."""
-        return self._n
+        return self._n + self._lost
 
     @property
     def overwrites(self) -> int:
         """Spans lost to ring wraparound (oldest evicted first)."""
         n = self._n
-        return n - self.capacity if n > self.capacity else 0
+        return self._lost + (n - self.capacity if n > self.capacity else 0)
 
     def accounting(self) -> Dict[str, Any]:
         """Sampling/ring accounting so a sampled or wrapped trace is
         never mistaken for a complete one."""
         return {
-            "spans_recorded": self._n,
+            "spans_recorded": self.recorded,
             "spans_held": len(self),
             "spans_elided": self.elided,
             "spans_forced": self.forced,
@@ -484,10 +494,37 @@ class SpanRecorder:
         so cleared-away traces are never aliased by later ones."""
         self._slots = [None] * self.capacity
         self._n = 0
+        self._lost = 0
         self.elided = 0
         self.forced = 0
         self.traces_started = 0
         self.traces_sampled = 0
+
+    # ------------------------------------------------------------------
+    # shipping (the mp backend's workers -> driver)
+    # ------------------------------------------------------------------
+    def export(self) -> Tuple[List[tuple], Dict[str, Any]]:
+        """The held raw span tuples and the accounting, picklable."""
+        return self._raw(), self.accounting()
+
+    def merge_from(self, exports: List[Tuple[List[tuple], Dict[str, Any]]]) -> None:
+        """Replace this recorder's contents with the union of other
+        recorders' :meth:`export` results: spans ordered by start time,
+        accounting summed, ring capacity the sum of theirs.  The result
+        is for queries and export; it records nothing itself."""
+        raw = sorted(
+            (t for slots, _ in exports for t in slots),
+            key=lambda t: (t[6], t[1]),
+        )
+        accts = [acct for _, acct in exports]
+        self.capacity = max(1, sum(a["ring_capacity"] for a in accts))
+        self._slots = raw  # type: ignore[assignment]
+        self._n = len(raw)
+        self._lost = sum(a["ring_overwrites"] for a in accts)
+        self.elided = sum(a["spans_elided"] for a in accts)
+        self.forced = sum(a["spans_forced"] for a in accts)
+        self.traces_started = sum(a["traces_started"] for a in accts)
+        self.traces_sampled = sum(a["traces_sampled"] for a in accts)
 
     def dump(self, limit: int = 200) -> str:
         """Render up to ``limit`` spans for debugging output."""

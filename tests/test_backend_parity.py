@@ -1,18 +1,17 @@
 """Backend parity: the same scenarios converge to the same final state
-on the discrete-event, the real-time threaded and the multiprocessing
-backends, with the mp mesh on UNIX-domain sockets (the default) and on
-TCP (what the deprecated ``asyncio`` backend name selects; the tests
-named after it run mp over TCP).
+on the discrete-event and the multiprocessing backends, with the mp
+mesh on UNIX-domain sockets (the default) and on TCP (what the
+deprecated ``asyncio`` backend name selects; the tests named after it
+run mp over TCP).
 
-The threaded and mp backends give no ordering or timing guarantees, so
-parity is asserted on *convergent* state only: scenario results
+The mp backend gives no ordering or timing guarantees, so parity is asserted on *convergent* state only: scenario results
 (values, visit counts), final actor counts, and ground-truth actor
 locations — never on event order, elapsed time, or steal counts (how
 much stealing happens is scheduling-dependent by design).
 
 Stats parity goes further where the protocols are deterministic: for
 scenarios without load balancing the full final counter sets must
-match exactly across the sim, threaded and mp backends, on either mesh
+match exactly across the sim and mp backends, on either mesh
 transport (the same messages, FIRs and migrations happen, whatever the
 interleaving); once work stealing is
 on, only the steal-traffic-dependent counters are exempt.
@@ -87,18 +86,13 @@ def _no_wire(counters):
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_backends_reach_identical_final_state(name):
     sim_res = run_scenario(name, trace=False, backend="sim")
-    thr_res = run_scenario(name, trace=False, backend="threaded")
     mp_res = run_scenario(name, trace=False, backend="mp")
     try:
         sim_state = _final_state(sim_res)
-        thr_state = _final_state(thr_res)
-        mp_state = _final_state(mp_res)
-        assert sim_state == thr_state
-        assert sim_state == mp_state
+        assert sim_state == _final_state(mp_res)
         assert sim_state["quiescent"]
     finally:
         sim_res.runtime.close()
-        thr_res.runtime.close()
         mp_res.runtime.close()
 
 
@@ -134,39 +128,11 @@ def test_stats_parity_sim_vs_asyncio(name):
     _assert_stats_parity(name, "mp", net=TCP)
 
 
-@pytest.mark.parametrize("name", SEQUENTIAL_SCENARIOS)
-def test_stats_parity_sim_vs_threaded(name):
-    """Sequential scenarios also book identical counters on the
-    threaded backend (with stealing the GIL hides lost updates on
-    shared cells, so only the mp backend — separate registries, merged
-    after the fact — can promise exact books under load)."""
-    sim_res = run_scenario(name, trace=False, backend="sim")
-    thr_res = run_scenario(name, trace=False, backend="threaded")
-    try:
-        assert sim_res.runtime.stats.counters == thr_res.runtime.stats.counters
-    finally:
-        sim_res.runtime.close()
-        thr_res.runtime.close()
-
-
-@pytest.mark.parametrize("name", SCENARIO_NAMES)
-def test_threaded_backend_converges_across_seeds(name):
-    """The threaded backend must converge regardless of the host
-    scheduler's interleaving; different seeds vary placement/victim
-    choices but never the result."""
-    for seed in (1, 7):
-        res = run_scenario(name, trace=False, backend="threaded", seed=seed)
-        try:
-            assert res.runtime.quiescent()
-            state = _final_state(res)
-            assert state["actors"] == len(state["locations"])
-        finally:
-            res.runtime.close()
-
-
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_mp_backend_converges_across_seeds(name):
-    """Same convergence promise for the process-per-node backend."""
+    """The mp backend must converge regardless of the host
+    scheduler's interleaving; different seeds vary placement/victim
+    choices but never the result."""
     for seed in (1, 7):
         res = run_scenario(name, trace=False, backend="mp", seed=seed)
         try:

@@ -285,7 +285,7 @@ class TestEquivalence:
         assert cp.behaviors["FibActor"].plan_for("compute", "compute") == "static"
         assert cp.behaviors["FibActorGen"].plan_for("compute", "compute") == "static"
 
-    @pytest.mark.parametrize("backend", ["sim", "threaded", "mp"])
+    @pytest.mark.parametrize("backend", ["sim", "mp"])
     def test_twins_reach_identical_final_state(self, backend):
         n = 9
         results = {}

@@ -1,5 +1,5 @@
-"""The platform seam: factory, interfaces, and the threaded and mp
-backends' node/transport/machine primitives."""
+"""The platform seam: factory, interfaces, and the mp backend's
+node/transport/machine primitives."""
 
 from __future__ import annotations
 
@@ -15,8 +15,8 @@ from repro.errors import ReproError
 from repro.hal.dsl import behavior, method
 from repro.platform import BACKENDS, make_machine
 from repro.platform.base import NodeExecutor, PlatformMachine, Transport
+from repro.platform.mp import MpMachine
 from repro.platform.simbackend import SimMachine
-from repro.platform.threaded import ThreadedMachine
 
 
 # ======================================================================
@@ -29,16 +29,16 @@ class TestMakeMachine:
         m.shutdown()
 
     def test_backend_from_config(self):
-        m = make_machine(RuntimeConfig(num_nodes=2, backend="threaded"))
+        m = make_machine(RuntimeConfig(num_nodes=2, backend="mp"))
         try:
-            assert isinstance(m, ThreadedMachine)
+            assert isinstance(m, MpMachine)
         finally:
             m.shutdown()
 
     def test_explicit_backend_overrides_config(self):
-        m = make_machine(RuntimeConfig(num_nodes=2), backend="threaded")
+        m = make_machine(RuntimeConfig(num_nodes=2), backend="mp")
         try:
-            assert isinstance(m, ThreadedMachine)
+            assert isinstance(m, MpMachine)
         finally:
             m.shutdown()
 
@@ -51,7 +51,11 @@ class TestMakeMachine:
             RuntimeConfig(backend="mpi")
 
     def test_registry_names(self):
-        assert BACKENDS == ("sim", "threaded", "mp")
+        assert BACKENDS == ("sim", "mp")
+
+    def test_config_error_names_every_backend(self):
+        with pytest.raises(ValueError, match="expected one of sim, mp"):
+            RuntimeConfig(backend="threaded")
 
 
 class TestProtocolConformance:
@@ -72,200 +76,16 @@ class TestProtocolConformance:
             m.shutdown()
 
     def test_feature_flags(self):
+        """``distributed`` is the one flag left: it routes driver
+        operations as commands (faults and spans work on both)."""
         sim = make_machine(RuntimeConfig(num_nodes=2))
-        thr = make_machine(RuntimeConfig(num_nodes=2), backend="threaded")
         mpm = make_machine(RuntimeConfig(num_nodes=2), backend="mp")
         try:
-            assert sim.deterministic and sim.supports_faults
-            assert not thr.deterministic and not thr.supports_faults
-            assert not mpm.deterministic and mpm.supports_faults
-            assert mpm.counters_exact  # merged per-process books are exact
-            assert not sim.distributed and not thr.distributed
+            assert not sim.distributed
             assert mpm.distributed
         finally:
             sim.shutdown()
-            thr.shutdown()
             mpm.shutdown()
-
-
-# ======================================================================
-# threaded backend primitives
-# ======================================================================
-def _threaded(n=2, **kw):
-    return ThreadedMachine(RuntimeConfig(num_nodes=n, **kw))
-
-
-class TestThreadedNode:
-    def test_post_now_runs_and_drains(self):
-        m = _threaded()
-        try:
-            hits = []
-            m.nodes[0].post_now(hits.append, (1,))
-            m.run()
-            assert hits == [1]
-            assert m.pending == 0
-        finally:
-            m.shutdown()
-
-    def test_handler_runs_on_worker_thread_serialised(self):
-        m = _threaded()
-        try:
-            seen = []
-
-            def handler(i):
-                # in_handler visible from inside; node identity recorded
-                seen.append((i, m.nodes[0].in_handler,
-                             threading.current_thread().name))
-
-            for i in range(50):
-                m.nodes[0].post_now(handler, (i,))
-            m.run()
-            assert [s[0] for s in seen] == list(range(50))  # FIFO per node
-            assert all(s[1] for s in seen)
-            assert all(s[2] == "repro-node-0" for s in seen)
-        finally:
-            m.shutdown()
-
-    def test_timer_fires_and_cancel_prevents(self):
-        m = _threaded()
-        try:
-            fired = []
-            node = m.nodes[0]
-            node.execute(node.time() + 1_000, lambda: fired.append("a"))
-            t = node.execute(node.time() + 2_000, lambda: fired.append("b"))
-            t.cancel()
-            t.cancel()  # idempotent
-            m.run()
-            assert fired == ["a"]
-            assert t.cancelled
-        finally:
-            m.shutdown()
-
-    def test_bootstrap_returns_value_and_serialises(self):
-        m = _threaded()
-        try:
-            node = m.nodes[0]
-            assert node.bootstrap(lambda: 42) == 42
-            assert not node.in_handler
-        finally:
-            m.shutdown()
-
-    def test_charge_accounts_but_does_not_sleep(self):
-        m = _threaded()
-        try:
-            node = m.nodes[0]
-
-            def work():
-                node.charge(5.0)
-
-            node.bootstrap(work)
-            assert node.busy_us == 5.0
-        finally:
-            m.shutdown()
-
-    def test_defer_is_inline(self):
-        m = _threaded()
-        try:
-            order = []
-            node = m.nodes[0]
-
-            def handler():
-                node.defer(order.append, ("deferred",))
-                order.append("after")
-
-            node.post_now(handler)
-            m.run()
-            assert order == ["deferred", "after"]
-        finally:
-            m.shutdown()
-
-
-class TestThreadedTransport:
-    def test_unicast_delivers_cross_node(self):
-        m = _threaded()
-        try:
-            got = []
-            m.network.unicast(0, 1, 8, got.append, ("hello",), label="test")
-            m.run()
-            assert got == ["hello"]
-            assert m.net_idle()
-        finally:
-            m.shutdown()
-
-    def test_in_flight_counts_app_messages_not_chatter(self):
-        m = _threaded()
-        try:
-            # Block node 1's worker so messages stay queued.
-            gate = threading.Event()
-            m.nodes[1].post_now(gate.wait)
-            m.network.unicast(0, 1, 8, lambda: None, (), label="deliver_keyed")
-            m.network.unicast(0, 1, 8, lambda: None, (), label="steal_req")
-            assert m.network.in_flight() == 1  # chatter excluded
-            assert not m.net_idle()
-            gate.set()
-            m.run()
-            assert m.net_idle()
-        finally:
-            m.shutdown()
-
-    def test_rejects_self_send(self):
-        from repro.errors import NetworkError
-        m = _threaded()
-        try:
-            with pytest.raises(NetworkError):
-                m.network.unicast(0, 0, 8, lambda: None, ())
-        finally:
-            m.shutdown()
-
-
-class TestThreadedMachine:
-    def test_faults_rejected(self):
-        from repro.sim.faults import FaultPlan
-        plan = FaultPlan.protocol_chaos(drop=0.1)
-        with pytest.raises(ReproError, match="fault injection"):
-            ThreadedMachine(RuntimeConfig(num_nodes=2), faults=plan)
-
-    def test_run_stop_when_predicate(self):
-        m = _threaded()
-        try:
-            box = []
-            node = m.nodes[0]
-            node.execute(node.time() + 500, lambda: box.append(1))
-            m.run(stop_when=lambda: bool(box))
-            assert box == [1]
-        finally:
-            m.shutdown()
-
-    def test_run_deadline_returns_with_work_pending(self):
-        m = _threaded()
-        try:
-            node = m.nodes[0]
-            # A timer a full minute out: the deadline must win.
-            t = node.execute(node.time() + 60_000_000, lambda: None)
-            reached = m.run(until=m.clock.now + 5_000)  # 5ms
-            assert m.pending == 1
-            assert reached >= 5_000
-            t.cancel()
-            m.run()
-        finally:
-            m.shutdown()
-
-    def test_events_executed_counts(self):
-        m = _threaded()
-        try:
-            for _ in range(10):
-                m.nodes[0].post_now(lambda: None)
-                m.nodes[1].post_now(lambda: None)
-            m.run()
-            assert m.events_executed == 20
-        finally:
-            m.shutdown()
-
-    def test_shutdown_idempotent_and_joins(self):
-        m = _threaded()
-        m.shutdown()
-        m.shutdown()
-        assert not m.nodes[0]._thread.is_alive()
 
 
 # ======================================================================
@@ -591,6 +411,58 @@ class TestNodeFailure:
             rt.close()
 
 
+@behavior
+class _Forwarder:
+    """Forwards one object to a peer: a driver command lands locally,
+    the forward crosses the mesh."""
+
+    @method
+    def forward(self, ctx, peer, obj):
+        ctx.send(peer, "take", obj)
+
+
+class TestMalformedFrame:
+    def test_malformed_frame_raises_network_error_naming_both_nodes(
+        self, monkeypatch
+    ):
+        """A frame that does not decode closes that link and surfaces
+        as one NetworkError naming the receiving node and the peer,
+        re-raised by every later call, not as a stream of generic
+        worker failures."""
+        import time
+
+        from repro.errors import NetworkError
+        from repro.platform import mp
+
+        real = mp.encode_payload
+
+        def corrupting(args):
+            data = real(args)
+            return b"\x80\x05garbage" if b"corrupt-me" in data else data
+
+        # Patched before the fork, so the workers inherit it.
+        monkeypatch.setattr(mp, "encode_payload", corrupting)
+        rt = _mp_runtime(2)
+        try:
+            a = rt.spawn(_Forwarder, at=0)
+            b = rt.spawn(_Holder, at=1)
+            rt.run()
+            rt.send(a, "forward", b, "corrupt-me")
+            with pytest.raises(NetworkError) as info:
+                rt.run()
+            message = str(info.value)
+            assert message.startswith("node 1: malformed frame from peer 0")
+            assert "UnpicklingError" in message
+            with pytest.raises(NetworkError) as again:
+                rt.run()
+            assert again.value is info.value
+            start = time.monotonic()
+            rt.close()
+            assert time.monotonic() - start < 5.0
+        finally:
+            rt.close()
+
+
 class TestMpBatchingQuiescence:
     """Regression: Safra termination detection must count *messages*,
     not frames.  With thresholds far above the workload every frame
@@ -657,14 +529,12 @@ def test_layering_lint_catches_violations(tmp_path):
     bad.mkdir(parents=True)
     (bad / "evil.py").write_text(
         "from repro.sim.engine import Simulator\n"
-        "import repro.platform.threaded\n"
         "import repro.platform.mp\n"
         "from repro.platform.wireformat import FrameEncoder\n"
         "from repro.platform.base import NodeExecutor  # allowed\n"
     )
     problems = check_layering.check(str(src))
-    assert len(problems) == 4
+    assert len(problems) == 3
     assert "repro.sim.engine" in problems[0]
-    assert "repro.platform.threaded" in problems[1]
-    assert "repro.platform.mp" in problems[2]
-    assert "repro.platform.wireformat" in problems[3]
+    assert "repro.platform.mp" in problems[1]
+    assert "repro.platform.wireformat" in problems[2]

@@ -186,21 +186,32 @@ class TestForcedErrorPaths:
 # the trace CLI is backend-neutral
 # ======================================================================
 class TestCliBackends:
-    def test_trace_on_threaded_backend(self, tmp_path, capsys):
+    def test_trace_on_mp_backend(self, tmp_path, capsys):
         from repro.cli import main
         out = tmp_path / "tour.json"
-        assert main(["trace", "migration_tour", "--backend", "threaded",
+        assert main(["trace", "migration_tour", "--backend", "mp",
                      "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert any(e["ph"] == "X" for e in doc["traceEvents"])
+        tracks = {e["tid"] for e in doc["traceEvents"] if e["ph"] == "X"}
+        assert len(tracks) >= 2  # complete spans from several workers
         text = capsys.readouterr().out
-        assert "backend" in text and "threaded" in text
+        assert "backend" in text and "mp" in text
 
-    def test_trace_on_mp_backend_refuses_clearly(self):
+    def test_trace_on_mp_at_sample_rate_zero_elides_everything(
+        self, tmp_path, capsys
+    ):
         from repro.cli import main
-        with pytest.raises(SystemExit) as exc:
-            main(["trace", "migration_tour", "--backend", "mp"])
-        assert "mp backend does not support span tracing" in str(exc.value)
+        out = tmp_path / "spans.jsonl"
+        assert main(["trace", "ping_pong", "--backend", "mp",
+                     "--sample-rate", "0", "--format", "jsonl",
+                     "--out", str(out)]) == 0
+        assert out.read_text() == ""
+        rows = dict(
+            line.rsplit(None, 1) for line in capsys.readouterr().out.splitlines()
+            if line.startswith(("spans recorded", "spans elided"))
+        )
+        assert int(rows["spans recorded"]) == 0
+        assert int(rows["spans elided (sampling)"]) > 0
 
     def test_trace_sample_rate_flag_reaches_the_recorder(self, tmp_path,
                                                          capsys):
@@ -221,3 +232,89 @@ class TestCliBackends:
                     "sample_rate", "traces_started", "traces_sampled"):
             assert key in acct
         assert acct["spans_recorded"] > 0
+
+
+# ======================================================================
+# spans recorded in the mp workers, merged on the driver
+# ======================================================================
+@pytest.fixture(scope="module")
+def mp_tour_spans():
+    from repro.apps.scenarios import run_scenario
+    res = run_scenario("migration_tour", backend="mp", trace=True)
+    try:
+        yield res.runtime.spans
+    finally:
+        res.runtime.close()
+
+
+class TestMpSpans:
+    def test_every_worker_records_spans(self, mp_tour_spans):
+        assert {s.node for s in mp_tour_spans} == set(range(5))
+
+    def test_a_trace_tree_crosses_nodes(self, mp_tour_spans):
+        """TraceCtx rides the pickled args, so a journey's spans on
+        different workers share one trace and link parent to child."""
+        by_id = {s.span_id: s for s in mp_tour_spans}
+        cross = [
+            s for s in mp_tour_spans
+            if s.parent_id in by_id and by_id[s.parent_id].node != s.node
+        ]
+        assert cross
+        assert any(
+            len({s.node for s in mp_tour_spans.of_trace(tid)}) >= 2
+            for tid in mp_tour_spans.trace_ids()
+        )
+
+    def test_span_ids_unique_across_workers(self, mp_tour_spans):
+        ids = [s.span_id for s in mp_tour_spans]
+        assert len(ids) == len(set(ids))
+        # Each worker roots its own traces: their IDs never collide.
+        roots = [s.trace_id for s in mp_tour_spans if s.parent_id == 0]
+        assert len(roots) == len(set(roots))
+
+    def test_workers_share_the_drivers_time_base(self, mp_tour_spans):
+        """A hop span runs from the sender's clock to the receiver's:
+        only one epoch for every worker keeps it non-negative."""
+        hops = mp_tour_spans.of_kind("hop")
+        assert hops
+        assert all(0.0 <= s.duration_us < 10e6 for s in hops)
+
+    def test_accounting_sums_the_workers(self, mp_tour_spans):
+        acct = mp_tour_spans.accounting()
+        assert acct["spans_recorded"] == acct["spans_held"] == len(
+            mp_tour_spans.spans
+        )
+        assert acct["ring_capacity"] == 5 * 65_536
+        assert acct["traces_started"] == acct["traces_sampled"] > 0
+
+    @pytest.mark.parametrize(
+        "name", ["ping_pong", "migration_tour", "group_broadcast"]
+    )
+    def test_sequential_scenarios_record_the_sims_span_kinds(self, name):
+        from repro.apps.scenarios import run_scenario
+        kinds = {}
+        for backend in ("sim", "mp"):
+            res = run_scenario(name, backend=backend, trace=True)
+            try:
+                kinds[backend] = {s.kind for s in res.runtime.spans}
+            finally:
+                res.runtime.close()
+        assert kinds["mp"] == kinds["sim"]
+
+
+class TestMergedRecorder:
+    def test_merge_from_orders_by_start_and_sums_accounting(self):
+        a = SpanRecorder(enabled=True, capacity=2)
+        b = SpanRecorder(enabled=True, capacity=4, id_base=1 << 40)
+        for t in (3.0, 1.0, 2.0):  # wraps a's ring once
+            a.span(a.new_trace_id(), 0, "x", "send", 0, t)
+        b.span(b.new_trace_id(), 0, "y", "send", 1, 1.5)
+        merged = SpanRecorder(enabled=True, capacity=1)
+        merged.merge_from([a.export(), b.export()])
+        assert [s.start_us for s in merged.spans] == [1.0, 1.5, 2.0]
+        acct = merged.accounting()
+        assert acct["spans_recorded"] == 4
+        assert acct["ring_overwrites"] == 1
+        assert acct["ring_capacity"] == 6
+        assert acct["traces_started"] == 4
+        assert len({s.span_id for s in merged.spans}) == 3

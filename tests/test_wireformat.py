@@ -15,6 +15,10 @@ from repro.errors import NetworkError
 from repro.platform.base import WirePacket
 from repro.platform.wireformat import (
     DEF,
+    MSG,
+    MSGR,
+    QSC,
+    TOK,
     FrameDecoder,
     FrameEncoder,
     MAX_INTERNED,
@@ -259,6 +263,59 @@ class TestMalformed:
         dec = FrameDecoder()
         dec.feed(_frame(body))
         with pytest.raises(NetworkError, match="overruns its frame"):
+            dec.drain()
+
+    def test_truncated_header_is_not_completed_from_the_next_frame(self):
+        """A 3-byte QSC record (its rid cut short) followed by a good
+        frame: the header must be checked against its own frame's end,
+        not decoded from the next frame's bytes."""
+        dec = FrameDecoder()
+        dec.feed(
+            _frame(bytes([QSC, 0, 0])) + _frame(struct.pack("!BI", QSC, 7))
+        )
+        with pytest.raises(NetworkError, match="header overruns its frame"):
+            dec.drain()
+        assert dec.drain() == [("qsc", 7)]
+
+    @pytest.mark.parametrize("tag", [MSG, DEF, TOK, QSC, MSGR])
+    def test_every_record_header_is_bounded_by_its_frame(self, tag):
+        dec = FrameDecoder()
+        dec.feed(_frame(bytes([tag, 0, 0])) + _frame(b"\x00" * 32))
+        with pytest.raises(NetworkError, match="header overruns its frame"):
+            dec.drain()
+
+    def test_error_drops_parsed_frames_so_none_is_parsed_twice(self):
+        """A good frame (defining "h") and a bad one in one read: the
+        error must trim both, so the next drain neither re-parses the
+        good frame (misreporting an out-of-order DEF) nor sees the bad
+        one again."""
+        enc = FrameEncoder()
+        enc.add_message(WirePacket(0, 1, "h", (1,), 8, "h"))
+        good = enc.take_frame()
+        enc.add_message(WirePacket(0, 1, "h", (2,), 8, "h"))
+        later = enc.take_frame()
+        dec = FrameDecoder()
+        dec.feed(good + _frame(b"\xee"))
+        with pytest.raises(NetworkError, match="unknown wire record tag"):
+            dec.drain()
+        assert dec.buffered_bytes == 0
+        dec.feed(later)
+        assert [m.args for m in iter_messages(dec.drain())] == [(2,)]
+
+    def test_corrupt_payload_raises_network_error(self):
+        enc = FrameEncoder()
+        enc.add_message(
+            WirePacket(0, 1, "h", (1,), 8, "h"), payload=b"\x80\x05garbage"
+        )
+        dec = FrameDecoder()
+        dec.feed(enc.take_frame())
+        with pytest.raises(NetworkError, match="UnpicklingError"):
+            dec.drain()
+
+    def test_non_utf8_name_raises_network_error(self):
+        dec = FrameDecoder()
+        dec.feed(_frame(struct.pack("!BHH", DEF, 0, 2) + b"\xff\xfe"))
+        with pytest.raises(NetworkError, match="UnicodeDecodeError"):
             dec.drain()
 
     def test_non_picklable_payload_raises_at_encode(self):

@@ -4,7 +4,7 @@
 ``repro.runtime`` and ``repro.am`` are written against the platform
 interfaces (:mod:`repro.platform.base`); importing an execution
 backend directly — any ``repro.sim.*`` module, or a concrete backend
-module like ``repro.platform.simbackend`` / ``repro.platform.threaded``
+module like ``repro.platform.simbackend`` / ``repro.platform.mp``
 — couples protocol code to one substrate and silently breaks the
 other.  This checker walks the import statements (AST only, nothing is
 executed) of every module under the guarded packages and exits 1 with
@@ -46,7 +46,6 @@ GUARDED = ("repro/runtime", "repro/am")
 FORBIDDEN_PREFIXES = (
     "repro.sim",
     "repro.platform.simbackend",
-    "repro.platform.threaded",
     "repro.platform.mp",
     "repro.platform.wireformat",
 )
