@@ -153,15 +153,13 @@ def _fault_plan(args):
 
 def _mp_params(args):
     """MpParams from the mp wire-path flags (None = config defaults)."""
-    transport = getattr(args, "mp_transport", None)
     batch_bytes = getattr(args, "mp_batch_bytes", None)
     batch_msgs = getattr(args, "mp_batch_msgs", None)
-    if transport is None and batch_bytes is None and batch_msgs is None:
+    if batch_bytes is None and batch_msgs is None:
         return None
     from repro.config import MpParams
     defaults = MpParams()
     return MpParams(
-        transport=transport or defaults.transport,
         batch_bytes=batch_bytes or defaults.batch_bytes,
         batch_max_msgs=batch_msgs or defaults.batch_max_msgs,
     )
@@ -409,11 +407,6 @@ def main(argv: Optional[List[str]] = None) -> int:
              "summary (ping_pong, migration_tour, fibonacci_loadbalance)",
     )
     def add_mp_flags(p):
-        p.add_argument("--mp-transport", choices=("socket", "pipe"),
-                       default=None,
-                       help="mp interconnect: a full mesh of stream "
-                            "sockets, the only one ('pipe' is a "
-                            "deprecated alias of 'socket')")
         p.add_argument("--mp-batch-bytes", type=int, default=None,
                        help="mp: flush a destination's frame at this many "
                             "buffered bytes (default 32768)")

@@ -111,8 +111,7 @@ class MpParams:
     full mesh of stream sockets (:class:`NetParams` says where they
     listen) driven with ``sendall`` writes and bulk reads — one
     ``recv`` can pull in many frames.  ``transport`` has one value,
-    ``"socket"``; ``"pipe"`` is still accepted for one release as a
-    deprecated alias of it.
+    ``"socket"``.
     """
 
     #: Interconnect between worker processes.
@@ -123,14 +122,6 @@ class MpParams:
     batch_max_msgs: int = 128
 
     def __post_init__(self) -> None:
-        if self.transport == "pipe":
-            warnings.warn(
-                "MpParams(transport='pipe') is deprecated and means "
-                "'socket', the mp backend's only transport",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            object.__setattr__(self, "transport", "socket")
         if self.transport != "socket":
             raise ValueError(
                 f"unknown mp transport {self.transport!r}; expected 'socket'"

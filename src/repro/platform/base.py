@@ -220,8 +220,6 @@ class PlatformMachine(Protocol):
     """A booted partition of ``num_nodes`` processing elements."""
 
     nodes: Sequence[NodeExecutor]
-    #: The partition manager's CPU (not on the data network).
-    frontend_node: NodeExecutor
     network: Transport
 
     #: True when nodes run in separate OS processes (nothing shared;

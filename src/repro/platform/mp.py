@@ -5,9 +5,10 @@ execution: every node runs a full runtime kernel inside its own
 worker process, active messages cross between nodes as **batched
 binary frames** (:mod:`repro.platform.wireformat`) over a full mesh
 of stream sockets, and the driver process holds no kernel state at
-all — driver operations (load, spawn, send, call, grpnew, broadcast)
-travel to the owning worker as synchronously-acknowledged commands on
-a per-node control pipe.
+all — driver operations travel to the owning worker as
+synchronously-acknowledged commands on a per-node control pipe, where
+the worker runs the same :data:`~repro.runtime.kernel.DRIVER_OPS`
+function the simulator runs in-process.
 
 **Bring-up is address-based**, so a node is a process reachable at an
 address, the shape a multicomputer partition has, not a child holding
@@ -920,12 +921,31 @@ class _WorkerHost:
     # commands
     # ------------------------------------------------------------------
     def _do_command(self, payload: tuple):
-        from repro.runtime.program import HalProgram
+        """Serve one driver command.  A driver operation
+        (:data:`~repro.runtime.kernel.DRIVER_OPS`) runs under the
+        node's bootstrap exactly as it does in-process; a reply-taking
+        op carries a reply id last, which becomes a sink shipping
+        ``("reply", id, value)`` back over the control pipe.  Every op
+        but ``collector`` injects work, so it clears the quiesce flag.
+        The rest are the worker's own commands."""
+        from repro.runtime.kernel import DRIVER_OPS, REPLY_OPS
 
-        op = payload[0]
-        kernel = self.kernel
+        op, args = payload[0], payload[1:]
+        fn = DRIVER_OPS.get(op)
+        if fn is not None:
+            if op in REPLY_OPS:
+                reply_id = args[-1]
+                args = args[:-1] + (
+                    lambda v: self.ctrl.send(("reply", reply_id, v)),
+                )
+            if op != "collector":
+                self.quiesced = False
+            kernel = self.kernel
+            return self.node.bootstrap(lambda: fn(kernel, *args))
         if op == "load":
-            _, name, behaviors, tasks = payload
+            from repro.runtime.program import HalProgram
+
+            name, behaviors, tasks = args
             program = HalProgram(name)
             for cls in behaviors:
                 program.behavior(cls)
@@ -937,73 +957,20 @@ class _WorkerHost:
                 self.machine_stats.incr("load.programs", -1)
             self.quiesced = False
             return None
-        if op == "spawn":
-            _, cls, args = payload
-            self.quiesced = False
-            return self.node.bootstrap(
-                lambda: kernel.creation.create(cls, args, at=None)
-            )
-        if op == "spawn_remote":
-            _, cls, args, at = payload
-            self.quiesced = False
-            return self.node.bootstrap(
-                lambda: kernel.creation.create(cls, args, at=at)
-            )
-        if op == "send":
-            _, ref, selector, args = payload
-            self.quiesced = False
-            self.node.bootstrap(
-                lambda: kernel.delivery.send_message(ref, selector, args)
-            )
-            return None
-        if op == "grpnew":
-            _, cls, n, args, placement = payload
-            self.quiesced = False
-            return self.node.bootstrap(
-                lambda: kernel.groups.grpnew(cls, n, args, placement=placement)
-            )
-        if op == "broadcast":
-            _, group, selector, args = payload
-            self.quiesced = False
-            self.node.bootstrap(
-                lambda: kernel.groups.broadcast(group, selector, args)
-            )
-            return None
-        if op == "task":
-            _, fn_name, args = payload
-            self.quiesced = False
-            self.node.bootstrap(
-                lambda: kernel.creation.spawn_task(fn_name, args, at=None)
-            )
-            return None
-        if op == "call":
-            _, ref, selector, args, reply_id = payload
-            self.quiesced = False
-
-            def make_request():
-                target = self._new_collector(reply_id)
-                kernel.delivery.send_message(ref, selector, args,
-                                             reply_to=target)
-
-            self.node.bootstrap(make_request)
-            return None
-        if op == "collector":
-            _, reply_id = payload
-            return self.node.bootstrap(lambda: self._new_collector(reply_id))
         if op == "kick":
             self.quiesced = False
-            kernel.balancer.kick()
+            self.kernel.balancer.kick()
             return None
         if op == "snap":
             return self._snapshot()
         if op == "resolve":
-            return self._resolve(payload[1])
+            return self._resolve(args[0])
         if op == "audit":
             return self._audit()
         if op == "detect":
             # Only node 0 coordinates; a newer request supersedes any
             # round still waiting to start.
-            self._detect_rid = payload[1]
+            self._detect_rid = args[0]
             return None
         if op == "stop":
             self._stop = True
@@ -1013,19 +980,6 @@ class _WorkerHost:
     @property
     def machine_stats(self) -> StatsRegistry:
         return self.runtime.machine.stats
-
-    def _new_collector(self, reply_id: int):
-        from repro.actors.message import ReplyTarget
-
-        kernel = self.kernel
-
-        def fire(cont) -> None:
-            value = cont.values()[0]
-            kernel.continuations.discard(cont.cont_id)
-            self.ctrl.send(("reply", reply_id, value))
-
-        cont = kernel.continuations.new(1, fire, created_at=kernel.node.now)
-        return ReplyTarget(kernel.node_id, cont.cont_id, 0)
 
     def _resolve(self, address) -> tuple:
         """One hop of the driver's FIR-style name chase
@@ -1045,15 +999,13 @@ class _WorkerHost:
         return ("unknown",)
 
     def _audit(self) -> Dict[str, Any]:
-        """This worker's slice of the invariant audit: retained-work
-        problems and the name-table view (both computed against the
-        real kernel, in-process), plus the node's fault ledger — the
-        driver chases forwarding chains over the merged tables
-        (:func:`repro.sim.invariants.check_invariants`)."""
+        """This worker's slice of the invariant audit
+        (:func:`repro.sim.invariants.kernel_audit`, computed against the
+        real kernel in-process) plus the node's fault ledger and
+        summary, which the driver merges across workers."""
         from repro.sim.invariants import kernel_audit
 
         report = kernel_audit(self.kernel)
-        report["node"] = self.node_id
         faults = self._faults
         report["ledger"] = list(faults.ledger) if faults is not None else []
         report["fault_summary"] = (
@@ -1423,7 +1375,6 @@ class MpMachine:
         self.nodes: List[_StubNode] = [
             _StubNode(i) for i in range(config.num_nodes)
         ]
-        self.frontend_node = _StubNode(-1)
         self.network = _StubTransport(config.network)
         #: Behaviour names shipped to the workers (the runtime's
         #: on-demand loading consults this instead of a kernel).
@@ -1675,7 +1626,7 @@ class MpMachine:
             raise self._node_failure(node, exc) from exc
 
     # ------------------------------------------------------------------
-    # driver operations (used by HalRuntime's distributed branches)
+    # driver operations (HalRuntime._drive and load)
     # ------------------------------------------------------------------
     def load_program(self, program) -> None:
         from repro.actors.behavior import behavior_of
@@ -1691,11 +1642,13 @@ class MpMachine:
         for cls in program.behaviors:
             self.loaded_behaviors.add(behavior_of(cls).name)
 
-    def new_reply_box(self) -> tuple:
+    def new_reply_box(self, box: List[Any]) -> int:
+        """Register ``box`` for the replies of one reply-taking driver
+        op and return the reply id the worker tags them with; each
+        ``("reply", id, value)`` event appends its value to the box."""
         reply_id = next(self._reply_ids)
-        box: List[Any] = []
         self._reply_boxes[reply_id] = box
-        return reply_id, box
+        return reply_id
 
     # ------------------------------------------------------------------
     # execution control + termination detection

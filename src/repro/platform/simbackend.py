@@ -35,10 +35,9 @@ from repro.tracing import (
 class SimMachine:
     """A simulated partition of ``config.num_nodes`` processing elements.
 
-    The partition manager (front-end) is modelled as a distinguished
-    host outside the data network; it is represented by
-    :attr:`frontend_node`, a :class:`SimNode` used for program loading
-    and I/O (see :class:`repro.runtime.frontend.FrontEnd`).
+    The partition manager (front-end) lives in the driver process
+    (:class:`repro.runtime.frontend.FrontEnd`); it loads programs by
+    bootstrapping a link step on every node and owns no simulated CPU.
     """
 
     distributed = False
@@ -89,8 +88,6 @@ class SimMachine:
             self.sim, self.topology, self.nodes, config.network, self.stats,
             faults=self.faults,
         )
-        #: The partition manager's CPU (not on the data network).
-        self.frontend_node = SimNode(-1, self.sim)
         # Quiescence-probe counter cells, bound once (net_idle is
         # polled repeatedly by the load balancer while the machine
         # idles, so cell lookups must not be on that path).

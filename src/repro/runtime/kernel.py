@@ -6,13 +6,19 @@ inline hooks), the communication and program-load modules at the
 bottom, and the node manager, dispatcher and name server in between.
 All computations on a node share one address space — the kernel does
 not discriminate between actors created by different programs.
+
+:data:`DRIVER_OPS` is what an external driver does to a kernel (spawn,
+send, call, ...).  Every backend runs these same functions on the
+issuing node: the simulator in-process under ``node.bootstrap``, the
+mp backend inside the worker process that owns the kernel.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Type, TYPE_CHECKING, Union
+from typing import Any, Callable, Dict, Type, TYPE_CHECKING, Union
 
 from repro.actors.behavior import Behavior, behavior_of, is_behavior_class
+from repro.actors.message import ReplyTarget
 from repro.am.bulk import BulkManager
 from repro.am.cmam import Endpoint
 from repro.am.flowcontrol import AcceptAll, MinimalFlowControl
@@ -195,3 +201,62 @@ class Kernel:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Kernel(n{self.node_id})"
+
+
+# ----------------------------------------------------------------------
+# external driver operations
+# ----------------------------------------------------------------------
+def new_collector(kernel: Kernel, deliver: Callable[[Any], None]) -> ReplyTarget:
+    """Allocate a one-slot root join continuation on ``kernel`` whose
+    reply value is handed to ``deliver``; returns its reply target."""
+
+    def fire(cont) -> None:
+        value = cont.values()[0]
+        kernel.continuations.discard(cont.cont_id)
+        deliver(value)
+
+    cont = kernel.continuations.new(1, fire, created_at=kernel.node.now)
+    return ReplyTarget(kernel.node_id, cont.cont_id, 0)
+
+
+def _spawn(kernel: Kernel, cls, args: tuple, at=None):
+    return kernel.creation.create(cls, args, at=at)
+
+
+def _send(kernel: Kernel, ref, selector: str, args: tuple) -> None:
+    kernel.delivery.send_message(ref, selector, args)
+
+
+def _grpnew(kernel: Kernel, cls, n: int, args: tuple, placement: str):
+    return kernel.groups.grpnew(cls, n, args, placement=placement)
+
+
+def _broadcast(kernel: Kernel, group, selector: str, args: tuple) -> None:
+    kernel.groups.broadcast(group, selector, args)
+
+
+def _task(kernel: Kernel, fn_name: str, args: tuple) -> None:
+    kernel.creation.spawn_task(fn_name, args, at=None)
+
+
+def _call(kernel: Kernel, ref, selector: str, args: tuple,
+          deliver: Callable[[Any], None]) -> None:
+    target = new_collector(kernel, deliver)
+    kernel.delivery.send_message(ref, selector, args, reply_to=target)
+
+
+#: Driver operations by name, each ``op(kernel, *args)`` run on the
+#: issuing node's kernel.  ``spawn`` with ``at`` set is a remote
+#: creation (the alias latency-hiding path).  The ops in
+#: :data:`REPLY_OPS` take a reply sink ``deliver(value)`` last.
+DRIVER_OPS: Dict[str, Callable[..., Any]] = {
+    "spawn": _spawn,
+    "send": _send,
+    "grpnew": _grpnew,
+    "broadcast": _broadcast,
+    "task": _task,
+    "call": _call,
+    "collector": new_collector,
+}
+
+REPLY_OPS = frozenset({"call", "collector"})

@@ -4,16 +4,20 @@
 backend (``config.backend``: the discrete-event simulator, with one
 kernel per processing element, the spanning-tree multicaster and the
 front-end in this process; or the mp machine, whose kernels live in
-worker processes).  External drivers
-(examples, tests, benchmarks) use it to load programs, spawn actors,
-send messages, perform synchronous calls and run the machine to
-quiescence.  The runtime itself only touches the platform interfaces
+worker processes).  External drivers (examples, tests, benchmarks)
+use it to load programs, spawn actors, send messages, perform
+synchronous calls and run the machine to quiescence.  Every driver
+operation is one entry of :data:`repro.runtime.kernel.DRIVER_OPS`,
+run on the issuing node's kernel: in-process under the node's
+bootstrap, or as a command to the worker that owns the kernel
+(:meth:`HalRuntime._drive` is the one place the two differ).  The
+runtime itself only touches the platform interfaces
 (:mod:`repro.platform.base`), never a backend module directly.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Type, Union
+from typing import Any, Dict, List, Optional, Type
 
 from repro.actors.behavior import behavior_of, is_behavior_class
 from repro.am.broadcast import TreeMulticaster
@@ -23,8 +27,8 @@ from repro.errors import DeliveryError, ReproError
 from repro.platform import make_machine
 from repro.runtime.costmodel import CostModel
 from repro.runtime.frontend import FrontEnd
-from repro.runtime.kernel import Kernel
-from repro.runtime.names import ActorRef, DescState
+from repro.runtime.kernel import DRIVER_OPS, Kernel
+from repro.runtime.names import ActorRef
 from repro.runtime.program import HalProgram
 
 
@@ -144,75 +148,50 @@ class HalRuntime:
     # ------------------------------------------------------------------
     # external driver operations
     # ------------------------------------------------------------------
+    def _drive(self, node: int, op: str, *args: Any,
+               reply: Optional[List[Any]] = None) -> Any:
+        """Run driver operation ``op`` (:data:`DRIVER_OPS`) on ``node``'s
+        kernel and return its result.  In-process it runs under the
+        node's bootstrap; on a distributed machine it travels to the
+        owning worker as a command.  ``reply`` is the box a
+        reply-taking op (:data:`REPLY_OPS`) appends its value to."""
+        if self._distributed:
+            if reply is not None:
+                args += (self.machine.new_reply_box(reply),)
+            return self.machine.command(node, (op, *args))
+        if reply is not None:
+            args += (reply.append,)
+        kernel = self.kernels[node]
+        fn = DRIVER_OPS[op]
+        return kernel.node.bootstrap(lambda: fn(kernel, *args))
+
     def spawn(self, cls: Type, *args: Any, at: int = 0) -> ActorRef:
         """Create an actor from outside the simulation (loads the
         behaviour on demand)."""
         self._ensure_loaded(cls)
-        if self._distributed:
-            return self.machine.command(at, ("spawn", cls, args))
-        kernel = self.kernels[at]
-        return kernel.node.bootstrap(
-            lambda: kernel.creation.create(cls, args, at=None)
-        )
+        return self._drive(at, "spawn", cls, args)
 
     def spawn_remote(self, cls: Type, *args: Any, at: int, issuing_node: int = 0) -> ActorRef:
         """Issue a remote creation from ``issuing_node`` (exercises the
         alias latency-hiding path)."""
         self._ensure_loaded(cls)
-        if self._distributed:
-            return self.machine.command(
-                issuing_node, ("spawn_remote", cls, args, at)
-            )
-        kernel = self.kernels[issuing_node]
-        return kernel.node.bootstrap(
-            lambda: kernel.creation.create(cls, args, at=at)
-        )
+        return self._drive(issuing_node, "spawn", cls, args, at)
 
     def send(self, ref: ActorRef, selector: str, *args: Any, from_node: int = 0) -> None:
         """Inject an asynchronous message from an external driver."""
-        if self._distributed:
-            self.machine.command(from_node, ("send", ref, selector, args))
-            return
-        kernel = self.kernels[from_node]
-        kernel.node.bootstrap(
-            lambda: kernel.delivery.send_message(ref, selector, args)
-        )
+        self._drive(from_node, "send", ref, selector, args)
 
     def grpnew(self, cls: Type, n: int, *args: Any, placement: str = "cyclic",
                from_node: int = 0):
         """Create an actor group from an external driver."""
         self._ensure_loaded(cls)
-        if self._distributed:
-            # The issuing worker runs the same grp_create fan-out the
-            # in-process kernels do; the spanning-tree messages ride
-            # the batched wire frames like any other AM.
-            return self.machine.command(
-                from_node, ("grpnew", cls, n, args, placement)
-            )
-        kernel = self.kernels[from_node]
-        return kernel.node.bootstrap(
-            lambda: kernel.groups.grpnew(cls, n, args, placement=placement)
-        )
+        return self._drive(from_node, "grpnew", cls, n, args, placement)
 
     def broadcast(self, group, selector: str, *args: Any, from_node: int = 0) -> None:
-        if self._distributed:
-            self.machine.command(
-                from_node, ("broadcast", group, selector, args)
-            )
-            return
-        kernel = self.kernels[from_node]
-        kernel.node.bootstrap(
-            lambda: kernel.groups.broadcast(group, selector, args)
-        )
+        self._drive(from_node, "broadcast", group, selector, args)
 
     def spawn_task(self, fn_name: str, *args: Any, at: int = 0) -> None:
-        if self._distributed:
-            self.machine.command(at, ("task", fn_name, args))
-            return
-        kernel = self.kernels[at]
-        kernel.node.bootstrap(
-            lambda: kernel.creation.spawn_task(fn_name, args, at=None)
-        )
+        self._drive(at, "task", fn_name, args)
 
     # ------------------------------------------------------------------
     # synchronous call (external request/reply)
@@ -231,27 +210,8 @@ class HalRuntime:
         root join continuation with one slot is allocated on
         ``from_node`` and the simulation advances until it fires.
         """
-        if self._distributed:
-            reply_id, box = self.machine.new_reply_box()
-            self.machine.command(
-                from_node, ("call", ref, selector, args, reply_id)
-            )
-        else:
-            kernel = self.kernels[from_node]
-            box = []
-
-            def make_request() -> None:
-                from repro.actors.message import ReplyTarget
-
-                def fire(cont) -> None:
-                    box.append(cont.values()[0])
-                    kernel.continuations.discard(cont.cont_id)
-
-                cont = kernel.continuations.new(1, fire, created_at=kernel.node.now)
-                target = ReplyTarget(kernel.node_id, cont.cont_id, 0)
-                kernel.delivery.send_message(ref, selector, args, reply_to=target)
-
-            kernel.node.bootstrap(make_request)
+        box: List[Any] = []
+        self._drive(from_node, "call", ref, selector, args, reply=box)
         self.run(until=timeout_us, stop_when=lambda: bool(box))
         if not box:
             raise DeliveryError(
@@ -267,24 +227,8 @@ class HalRuntime:
         ReplyTarget is expected (task spawns, explicit CPS); the reply
         value appears in ``box[0]`` once delivered.
         """
-        if self._distributed:
-            reply_id, box = self.machine.new_reply_box()
-            target = self.machine.command(from_node, ("collector", reply_id))
-            return target, box
-        kernel = self.kernels[from_node]
         box: List[Any] = []
-
-        def mk():
-            from repro.actors.message import ReplyTarget
-
-            def fire(cont) -> None:
-                box.append(cont.values()[0])
-                kernel.continuations.discard(cont.cont_id)
-
-            cont = kernel.continuations.new(1, fire, created_at=kernel.node.now)
-            return ReplyTarget(kernel.node_id, cont.cont_id, 0)
-
-        return kernel.node.bootstrap(mk), box
+        return self._drive(from_node, "collector", reply=box), box
 
     # ------------------------------------------------------------------
     # execution control

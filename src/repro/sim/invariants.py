@@ -26,20 +26,23 @@ argument, so after a run we audit it directly:
 ``check_invariants(runtime)`` raises :class:`InvariantViolation` with
 every failure listed, or returns a small report dict for display.
 
-On a **distributed** machine (the mp backend) the kernels live in
-worker processes, so the audit splits: each worker computes its own
-retained-work problems and a picklable name-table slice
-(:func:`kernel_audit`, shipped over the control pipe by the machine's
-``audit()``), and the driver chases forwarding chains and birthplace
-resolution over the merged tables.  Conservation arithmetic holds on
-both backends: per-process counters are single-threaded and merged
-after quiescence, so the books are exact even though the interleaving
-is not reproducible.
+The checks run once, over per-node audit slices
+(:func:`kernel_audit`: retained-work problems plus a picklable
+name-table view), whichever backend produced them.  In-process the
+slices are built straight from ``runtime.kernels`` and the fault
+ledger comes from the machine's injector; on a **distributed** machine
+(the mp backend) each worker computes its own slice against its real
+kernel and the machine's ``audit()`` ships them over the control pipe
+together with each node's ledger.  Forwarding chains are chased by one
+pure function, :func:`chase`, over the merged tables.  Conservation
+arithmetic holds on both backends: per-process counters are
+single-threaded and merged after quiescence, so the books are exact
+even though the interleaving is not reproducible.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, TYPE_CHECKING
+from typing import Dict, List, Mapping, TYPE_CHECKING
 
 from repro.errors import InvariantViolation
 from repro.runtime.names import DescState
@@ -55,52 +58,47 @@ _TRANSIENT = (
 )
 
 
-def _true_locations(runtime: "HalRuntime") -> Dict:
-    """Ground truth: mail address -> node currently hosting the actor."""
-    where: Dict = {}
-    for kernel in runtime.kernels:
-        for desc in kernel.table:
-            if desc.is_local and desc.actor is not None and desc.key is not None:
-                prev = where.get(desc.key)
-                if prev is not None:
-                    raise InvariantViolation(
-                        f"{desc.key!r} is resident on BOTH node {prev} and "
-                        f"node {kernel.node_id} (duplicate actor)"
-                    )
-                where[desc.key] = kernel.node_id
-    return where
-
-
-def _chase(runtime: "HalRuntime", start_node: int, key, max_hops: int) -> int:
-    """Follow best-guess pointers from ``start_node`` until a node
-    hosts the actor.  Returns the hop count; raises on cycles, dangling
-    trails or unbounded chains.  A node with no entry falls back to the
-    address's encoded home node — exactly what its delivery algorithm
+def chase(tables: Mapping[int, Mapping], start: int, key, max_hops: int) -> int:
+    """Follow best-guess pointers for ``key`` from node ``start`` over
+    per-node name-table views (``node -> {key: (is_local,
+    remote_node, resident)}``) until a node hosts the actor.  Returns
+    the hop count; raises :class:`InvariantViolation` on a self-pointer
+    or a chain longer than ``max_hops`` (a cycle).  A node with no
+    entry, or an entry with no guess (``remote_node < 0``), falls back
+    to the address's birthplace — exactly what its delivery algorithm
     would do."""
-    node = start_node
-    visited = []
+    node = start
+    visited: List[int] = []
     for hops in range(max_hops + 1):
-        kernel = runtime.kernels[node]
-        desc = kernel.table.get(key)
-        if desc is not None and desc.is_local:
+        entry = tables[node].get(key)
+        if entry is not None and entry[0]:
             return hops
         visited.append(node)
-        nxt = desc.remote_node if desc is not None else key.home_node()
+        nxt = (
+            entry[1]
+            if entry is not None and entry[1] >= 0
+            else key.home_node()
+        )
         if nxt == node:
             raise InvariantViolation(
-                f"forwarding chain for {key!r} from node {start_node} "
+                f"forwarding chain for {key!r} from node {start} "
                 f"dead-ends at node {node} (self-pointer, no actor)"
             )
         node = nxt
     raise InvariantViolation(
-        f"forwarding chain for {key!r} from node {start_node} did not "
+        f"forwarding chain for {key!r} from node {start} did not "
         f"converge within {max_hops} hops (visited {visited})"
     )
 
 
-def kernel_retained_work(kernel) -> List[str]:
-    """Check 3 for one kernel: every way a finished node can still be
-    holding work.  Runs in whichever process owns the kernel."""
+def kernel_audit(kernel) -> Dict:
+    """One kernel's picklable audit slice, computed in whichever
+    process owns the kernel: check 3's retained-work problems (every
+    way a finished node can still be holding work) plus the name-table
+    view :func:`chase` follows.  Table entries are ``key -> (is_local,
+    remote_node, resident)``; mail-address keys pickle (they already
+    travel in mp snapshots), so a worker can ship its slice to the
+    driver."""
     problems: List[str] = []
     nid = kernel.node_id
     rel = kernel.reliable
@@ -117,6 +115,7 @@ def kernel_retained_work(kernel) -> List[str]:
         )
     if kernel.dispatcher.ready:
         problems.append(f"node {nid}: dispatcher still has ready work")
+    table: Dict = {}
     for desc in kernel.table:
         what = f"node {nid}, {desc.key!r}"
         if desc.state in _TRANSIENT:
@@ -137,37 +136,22 @@ def kernel_retained_work(kernel) -> List[str]:
                 f"{what}: actor has {actor.mailbox.ready_count} ready "
                 "but unprocessed messages"
             )
-    return problems
-
-
-def kernel_audit(kernel) -> Dict:
-    """One kernel's picklable audit slice, for distributed backends:
-    the retained-work problems plus the name-table view the driver
-    needs to chase forwarding chains across processes.  Table entries
-    are ``key -> (is_local, remote_node, resident)``; mail-address
-    keys pickle (they already travel in mp snapshots)."""
-    table: Dict = {}
-    for desc in kernel.table:
-        if desc.key is None:
-            continue
-        table[desc.key] = (
-            bool(desc.is_local),
-            desc.remote_node,
-            bool(desc.is_local and desc.actor is not None),
-        )
+        if desc.key is not None:
+            table[desc.key] = (
+                desc.is_local, desc.remote_node,
+                desc.is_local and actor is not None,
+            )
     return {
-        "problems": kernel_retained_work(kernel),
-        "reliable": kernel.reliable is not None,
+        "node": nid,
+        "problems": problems,
+        "reliable": rel is not None,
         # Unacked envelopes right now.  Chatter (steal polls/denies) is
         # excluded from quiescence counting, so its reliable envelopes
         # can be created *behind* the token and still be mid-retransmit
         # when the ring certifies; the driver settle-waits on this
         # before judging (transient residue self-heals, persistent
-        # residue is the real violation kernel_retained_work reports).
-        "rel_pending": (
-            kernel.reliable.pending_count
-            if kernel.reliable is not None else 0
-        ),
+        # residue is the real violation reported in "problems").
+        "rel_pending": rel.pending_count if rel is not None else 0,
         "table": table,
     }
 
@@ -183,14 +167,29 @@ def check_invariants(runtime: "HalRuntime", *, drain: bool = True) -> Dict:
     if drain:
         runtime.run()
     machine = runtime.machine
-    if getattr(machine, "distributed", False):
-        return _check_distributed(runtime)
     problems: List[str] = []
 
     # 1. drained
     pending = machine.pending
     if pending:
         problems.append(f"event heap not drained: {pending} events pending")
+
+    if getattr(machine, "distributed", False):
+        # Worker-side slices; audit() also refreshes the merged stats,
+        # so the counters below are exact post-quiescence values.
+        slices = machine.audit()
+        faults_on = getattr(machine, "fault_plan", None) is not None
+        ledger = [ev for s in slices for ev in s["ledger"]]
+        summary: Dict[str, int] = {}
+        for s in slices:
+            for k, v in s["fault_summary"].items():
+                summary[k] = summary.get(k, 0) + v
+    else:
+        slices = [kernel_audit(kernel) for kernel in runtime.kernels]
+        faults = machine.faults
+        faults_on = faults is not None
+        ledger = faults.ledger if faults is not None else []
+        summary = faults.summary() if faults is not None else {}
 
     # 2. packet conservation
     stats = machine.stats
@@ -212,12 +211,8 @@ def check_invariants(runtime: "HalRuntime", *, drain: bool = True) -> Dict:
     # injection; without it a fault plan may legitimately eat them.
     steal_sent = stats.counter("steal.proto_sent")
     steal_recv = stats.counter("steal.proto_recv")
-    reliable_everywhere = runtime.kernels and all(
-        k.reliable is not None for k in runtime.kernels
-    )
-    if steal_sent != steal_recv and (
-        machine.faults is None or reliable_everywhere
-    ):
+    reliable_everywhere = bool(slices) and all(s["reliable"] for s in slices)
+    if steal_sent != steal_recv and (not faults_on or reliable_everywhere):
         problems.append(
             f"steal-protocol books do not balance: proto_sent({steal_sent})"
             f" != proto_recv({steal_recv}); a req/grant/deny packet was "
@@ -225,17 +220,26 @@ def check_invariants(runtime: "HalRuntime", *, drain: bool = True) -> Dict:
         )
 
     # 3. no retained work
-    for kernel in runtime.kernels:
-        problems.extend(kernel_retained_work(kernel))
+    for s in slices:
+        problems.extend(s["problems"])
 
     # 4 + 5. forwarding-chain convergence and birthplace resolution
+    tables = {s["node"]: s["table"] for s in slices}
+    where: Dict = {}
+    for nid, table in tables.items():
+        for key, (_is_local, _remote, resident) in table.items():
+            if not resident:
+                continue
+            prev = where.get(key)
+            if prev is not None:
+                problems.append(
+                    f"{key!r} is resident on BOTH node {prev} and "
+                    f"node {nid} (duplicate actor)"
+                )
+            else:
+                where[key] = nid
     chains = 0
     max_chain = 0
-    try:
-        where = _true_locations(runtime)
-    except InvariantViolation as exc:
-        problems.append(str(exc))
-        where = {}
     # Every migration can add one link, but back-patching keeps real
     # chains short; the bound only needs to be generous, not tight.
     max_hops = 2 * runtime.num_nodes + 8
@@ -244,17 +248,13 @@ def check_invariants(runtime: "HalRuntime", *, drain: bool = True) -> Dict:
     # actually deliverable: with descriptor caching off they are
     # ignored, and a fault plan may legitimately have dropped them
     # (they are expendable).  Convergence is still required either way.
-    hints_reliable = runtime.config.descriptor_caching and not (
-        machine.faults is not None
-        and any(
-            ev.action == "drop" and ev.kind == "cache_addr"
-            for ev in machine.faults.ledger
-        )
+    hints_reliable = runtime.config.descriptor_caching and not any(
+        ev.action == "drop" and ev.kind == "cache_addr" for ev in ledger
     )
     for key in where:
-        for kernel in runtime.kernels:
+        for nid in tables:
             try:
-                hops = _chase(runtime, kernel.node_id, key, max_hops)
+                hops = chase(tables, nid, key, max_hops)
             except InvariantViolation as exc:
                 problems.append(str(exc))
                 continue
@@ -262,7 +262,7 @@ def check_invariants(runtime: "HalRuntime", *, drain: bool = True) -> Dict:
             if hops > max_chain:
                 max_chain = hops
         try:
-            home_hops = _chase(runtime, key.home_node(), key, max_hops)
+            home_hops = chase(tables, key.home_node(), key, max_hops)
         except InvariantViolation as exc:
             problems.append(f"birthplace: {exc}")
             home_hops = None
@@ -281,154 +281,6 @@ def check_invariants(runtime: "HalRuntime", *, drain: bool = True) -> Dict:
             f"{len(problems)} invariant violation(s):\n  - "
             + "\n  - ".join(problems)
         )
-    return {
-        "actors": len(where),
-        "chains_checked": chains,
-        "max_chain_hops": max_chain,
-        "packets": {
-            "sends": sends,
-            "delivered": delivered,
-            "dropped": dropped,
-            "duplicated": duplicated,
-        },
-        "steal_packets": {"sent": steal_sent, "recv": steal_recv},
-        "faults_injected": (
-            machine.faults.summary() if machine.faults is not None else {}
-        ),
-    }
-
-
-def _check_distributed(runtime: "HalRuntime") -> Dict:
-    """The same audit against a process-per-node machine.
-
-    The driver holds no kernels, so checks 3-5 run against the audit
-    slices ``machine.audit()`` collects from the workers: per-node
-    retained-work problems (computed in-process against the real
-    kernels) and per-node name tables, merged here for the chain
-    chases.  Conservation runs on the merged registries, which are
-    exact: each worker's counters are single-threaded, and the merge
-    happens after quiescence, so no increment is ever racing the
-    read."""
-    machine = runtime.machine
-    problems: List[str] = []
-
-    # 1. drained
-    pending = machine.pending
-    if pending:
-        problems.append(f"event heap not drained: {pending} events pending")
-
-    reports = machine.audit()  # also refreshes the merged stats
-    by_node = {r["node"]: r for r in reports}
-    faults_on = getattr(machine, "fault_plan", None) is not None
-
-    # 2. packet conservation (merged exact counters)
-    stats = machine.stats
-    sends = stats.counter("am.sends")
-    delivered = stats.counter("am.delivered")
-    dropped = stats.counter("faults.dropped_packets")
-    duplicated = stats.counter("faults.dup_packets")
-    imbalance = sends + duplicated - dropped - delivered
-    if imbalance:
-        problems.append(
-            f"packet books do not balance: sends({sends}) + dup({duplicated})"
-            f" - dropped({dropped}) - delivered({delivered}) = {imbalance}; "
-            "a message was lost outside the injected-fault budget"
-        )
-
-    # 2b. steal-protocol conservation (same gate as in-process, with
-    # "reliable everywhere" reported by the workers themselves)
-    steal_sent = stats.counter("steal.proto_sent")
-    steal_recv = stats.counter("steal.proto_recv")
-    reliable_everywhere = bool(reports) and all(
-        r["reliable"] for r in reports
-    )
-    if steal_sent != steal_recv and (not faults_on or reliable_everywhere):
-        problems.append(
-            f"steal-protocol books do not balance: proto_sent({steal_sent})"
-            f" != proto_recv({steal_recv}); a req/grant/deny packet was "
-            "counted on only one side"
-        )
-
-    # 3. no retained work (computed worker-side)
-    for r in reports:
-        problems.extend(r["problems"])
-
-    # 4 + 5. chain convergence + birthplace over the merged tables
-    where: Dict = {}
-    for r in reports:
-        for key, (_is_local, _remote, resident) in r["table"].items():
-            if not resident:
-                continue
-            prev = where.get(key)
-            if prev is not None:
-                problems.append(
-                    f"{key!r} is resident on BOTH node {prev} and "
-                    f"node {r['node']} (duplicate actor)"
-                )
-            else:
-                where[key] = r["node"]
-
-    def chase(start_node: int, key) -> int:
-        node = start_node
-        visited: List[int] = []
-        for hops in range(max_hops + 1):
-            entry = by_node[node]["table"].get(key)
-            if entry is not None and entry[0]:
-                return hops
-            visited.append(node)
-            nxt = (
-                entry[1]
-                if entry is not None and entry[1] is not None
-                else key.home_node()
-            )
-            if nxt == node:
-                raise InvariantViolation(
-                    f"forwarding chain for {key!r} from node {start_node} "
-                    f"dead-ends at node {node} (self-pointer, no actor)"
-                )
-            node = nxt
-        raise InvariantViolation(
-            f"forwarding chain for {key!r} from node {start_node} did not "
-            f"converge within {max_hops} hops (visited {visited})"
-        )
-
-    chains = 0
-    max_chain = 0
-    max_hops = 2 * runtime.num_nodes + 8
-    ledger = [ev for r in reports for ev in r["ledger"]]
-    hints_reliable = runtime.config.descriptor_caching and not any(
-        ev.action == "drop" and ev.kind == "cache_addr" for ev in ledger
-    )
-    for key in where:
-        for nid in by_node:
-            try:
-                hops = chase(nid, key)
-            except InvariantViolation as exc:
-                problems.append(str(exc))
-                continue
-            chains += 1
-            if hops > max_chain:
-                max_chain = hops
-        try:
-            home_hops = chase(key.home_node(), key)
-        except InvariantViolation as exc:
-            problems.append(f"birthplace: {exc}")
-            home_hops = None
-        if hints_reliable and home_hops is not None and home_hops > 1:
-            problems.append(
-                f"birthplace of {key!r} (node {key.home_node()}) was "
-                f"never back-patched: {home_hops} hops to the actor"
-            )
-
-    if problems:
-        raise InvariantViolation(
-            f"{len(problems)} invariant violation(s):\n  - "
-            + "\n  - ".join(problems)
-        )
-    summary: Dict[str, int] = {}
-    for r in reports:
-        for k, v in r["fault_summary"].items():
-            summary[k] = summary.get(k, 0) + v
     return {
         "actors": len(where),
         "chains_checked": chains,

@@ -20,7 +20,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import FaultPlan, NodeFault, check_invariants
 from repro.apps.scenarios import run_fibonacci_loadbalance, run_migration_tour
 from repro.errors import InvariantViolation
-from repro.sim.invariants import _true_locations
 
 
 def _chaos(faults_seed: int) -> FaultPlan:
@@ -134,8 +133,8 @@ class TestFaultFuzz:
         faulty = run_migration_tour(num_nodes=5, n=4, trace=False,
                                     seed=seed, faults=plan)
         check_invariants(faulty.runtime)
-        assert _true_locations(faulty.runtime) == _true_locations(
-            clean.runtime
+        assert (
+            faulty.runtime.actor_locations() == clean.runtime.actor_locations()
         )
         assert faulty.summary["final_node"] == clean.summary["final_node"]
         assert faulty.summary["visits"] == clean.summary["visits"]

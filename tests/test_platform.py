@@ -68,9 +68,7 @@ class TestProtocolConformance:
         try:
             assert isinstance(m, PlatformMachine)
             assert isinstance(m.nodes[0], NodeExecutor)
-            assert isinstance(m.frontend_node, NodeExecutor)
             assert isinstance(m.network, Transport)
-            assert m.frontend_node.node_id == -1
             assert m.num_nodes == 2
         finally:
             m.shutdown()
@@ -359,21 +357,15 @@ class TestMpSocketTransport:
 
 
 class TestMpParams:
-    """The mp backend has one transport; the old names are handled."""
+    """The mp backend has one transport; the old names are rejected."""
 
-    def test_pipe_is_a_deprecated_alias_of_socket(self):
-        from repro.config import MpParams
-
-        with pytest.warns(DeprecationWarning, match="socket"):
-            params = MpParams(transport="pipe")
-        assert params.transport == "socket"
-        assert MpParams().transport == "socket"
-
-    def test_shm_is_rejected_naming_socket(self):
+    @pytest.mark.parametrize("transport", ["pipe", "shm"])
+    def test_removed_transport_is_rejected_naming_socket(self, transport):
         from repro.config import MpParams
 
         with pytest.raises(ValueError, match="'socket'"):
-            MpParams(transport="shm")
+            MpParams(transport=transport)
+        assert MpParams().transport == "socket"
 
 
 class TestNodeFailure:

@@ -125,7 +125,6 @@ class TestMachine:
         assert m.num_nodes == 8
         assert len(m.nodes) == 8
         assert m.topology.size == 8
-        assert m.frontend_node.node_id == -1
 
     def test_cpu_utilisation(self):
         m = Machine(RuntimeConfig(num_nodes=2))
